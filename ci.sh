@@ -16,6 +16,9 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== benchmark tests (the perf package is its own workspace)"
+cargo test -q --manifest-path crates/bench/src/bin/perf/Cargo.toml
+
 echo "== repro r1 smoke (quick mode)"
 cargo run --release -p mocha-bench --bin repro -- --quick r1
 

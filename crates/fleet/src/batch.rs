@@ -134,12 +134,8 @@ impl FleetBatchReport {
             .iter()
             .flat_map(|s| s.report.jobs.iter().map(|j| j.finished - j.arrival))
             .collect();
-        if lats.is_empty() {
-            return 0;
-        }
         lats.sort_unstable();
-        let rank = (p / 100.0 * lats.len() as f64).ceil() as usize;
-        lats[rank.clamp(1, lats.len()) - 1]
+        mocha_obs::nearest_rank(&lats, p)
     }
 
     /// Mean admission queue wait over completions, fleet-wide.

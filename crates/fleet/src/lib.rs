@@ -7,13 +7,15 @@
 //! * [`spec`] — [`FleetSpec`]: the CLI-parsable per-instance geometry list
 //!   (`preset=quad/grid=8,banks=16,count=2`), with the same strict
 //!   one-line error contract as `FaultPlan`;
-//! * [`route`] — the [`RoutePolicy`] trait and its three implementations:
+//! * [`route`] — the three [`RoutePolicy`] implementations (the trait
+//!   itself lives with the open-loop engine in `mocha-serve`):
 //!   `round-robin`, `locality` (route to the shard whose decision-cache /
 //!   shape affinity is warmest), and `p2c` (power-of-two-choices on queue
 //!   depth, seeded);
-//! * [`openfleet`] — the fleet open-loop queueing simulation behind
-//!   experiment R5: per-shard fault domains, quarantine-triggered live
-//!   re-balancing, and template-warmth cold penalties;
+//! * [`openfleet`] — experiment R5's open loop: `mocha-serve`'s queueing
+//!   engine run over the fleet's shards, with per-shard fault domains,
+//!   quarantine-triggered live re-balancing, and template-warmth cold
+//!   penalties;
 //! * [`batch`] — the fleet batch path: routed submissions executed on the
 //!   full cycle-accurate per-shard scheduler, aggregated in canonical
 //!   shard order. A fleet of one is an exact off-switch: byte-identical to

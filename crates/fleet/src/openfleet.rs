@@ -1,43 +1,23 @@
-//! The deterministic fleet-level open-loop simulation behind experiment R5.
+//! The fleet-level open-loop simulation behind experiment R5.
 //!
-//! This generalises `mocha-serve`'s single-fabric open-loop queueing model
-//! ([`mocha_serve::openloop`]) to N heterogeneous shards. Each arrival is
-//! routed to one shard by a [`RoutePolicy`], then admitted onto that
-//! shard's FIFO tenant slots exactly as the single-fabric simulation would
-//! (earliest-free-slot, calibrated service times, shed gate). Each shard
-//! owns an *independent* fault domain: its own seeded [`FaultTimeline`]
-//! (seed derived via [`shard_seed`]) and its own [`Quarantine`]. When a
-//! quarantine shrinks a shard's carve window, the evicted residents are
-//! *re-balanced*: each surviving job is re-routed through the same policy
-//! across the whole fleet, and a cross-shard move re-costs the job with the
-//! destination's calibrated service time (plus the cold penalty if the
-//! destination has never seen its template).
-//!
-//! Template warmth is the fleet-level face of the PR-7 decision cache: the
-//! first job of a template on a shard pays `cold_penalty` extra cycles
-//! (the morph decisions have to be made from scratch), later jobs of the
-//! same template on the same shard run at the calibrated time. A
-//! quarantine clears the shard's warm set — the carve geometry changed, so
-//! every cached decision is stale — which is exactly why locality-aware
-//! routing amplifies the cache: it concentrates templates, so fewer
-//! (shard, template) pairs ever pay the cold cost.
-//!
-//! The whole simulation is a sequential pure function of `(fleet spec,
-//! trace, per-shard services, route policy + seed, shed policy, fault
-//! plan, cold penalty)`: byte-identical output at any `--threads` count.
+//! [`run_fleet_open_loop`] runs `mocha-serve`'s open-loop engine
+//! ([`mocha_serve::openloop`]) with one shard per [`FleetSpec`] instance:
+//! each shard's [`FaultTimeline`] is seeded via [`shard_seed`] so fault
+//! domains are independent, the routing policy comes from [`RouteKind`],
+//! and template warmth charges `cold_penalty` on a shard's first job of
+//! each template. The run is a sequential pure function of its inputs:
+//! byte-identical output at any `--threads` count.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, VecDeque};
-
-use mocha_fabric::FabricConfig;
-use mocha_fault::{FaultEvent, FaultKind, FaultPlan, FaultTimeline, Quarantine};
+use mocha_fault::{FaultPlan, FaultTimeline};
 use mocha_json::{ToJson, Value};
-use mocha_obs::{names, Recorder};
-use mocha_runtime::lease;
+use mocha_obs::{names, nearest_rank, Recorder};
+use mocha_serve::openloop::{run_shards, EngineSetup, ShardSetup};
 use mocha_serve::shed::ShedPolicy;
 use mocha_serve::{Request, RequestOutcome};
 
-use crate::route::{RouteKind, RoutePolicy, ShardView};
+pub use mocha_serve::openloop::{template_ids, ShardStats as FleetShardStats};
+
+use crate::route::RouteKind;
 use crate::spec::{shard_seed, FleetSpec};
 
 /// Fleet open-loop simulation parameters.
@@ -62,75 +42,6 @@ pub struct FleetOpenLoopParams<'a> {
     /// Record per-request `fleet/shard<s>/job/<idx>` spans and
     /// `fleet/shard<s>/fault/<kind>` lost-work spans.
     pub record_spans: bool,
-}
-
-/// Per-shard tallies of one fleet open-loop run, in canonical shard order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FleetShardStats {
-    /// Shard label from the spec (`16x16/32b`).
-    pub label: String,
-    /// Tenant slots the shard started with.
-    pub servers: usize,
-    /// Requests the router sent here (including ones shed at admission).
-    pub routed: usize,
-    /// Requests shed at this shard's admission gate.
-    pub shed: usize,
-    /// Jobs that completed here (including re-balanced arrivals).
-    pub completed: usize,
-    /// Jobs that exhausted their fault-retry budget here.
-    pub failed: usize,
-    /// Jobs still queued when the simulation ended (always 0 today: the
-    /// final drain retires everything; kept explicit for the conservation
-    /// identity).
-    pub in_flight: usize,
-    /// Jobs that migrated *in* from a quarantined shard.
-    pub rebalanced_in: usize,
-    /// Jobs that migrated *out* when this shard quarantined.
-    pub rebalanced_out: usize,
-    /// Fault events drawn from this shard's timeline.
-    pub faults_injected: usize,
-    /// Permanent faults admitted into this shard's quarantine.
-    pub quarantined: usize,
-    /// Slot-cycles spent on successful service attempts.
-    pub busy_cycles: u64,
-    /// Slot-cycles discarded to faults.
-    pub lost_cycles: u64,
-    latencies: Vec<u64>, // sorted
-}
-
-impl FleetShardStats {
-    /// Nearest-rank latency percentile over this shard's completions.
-    pub fn latency_percentile(&self, p: f64) -> u64 {
-        percentile(&self.latencies, p)
-    }
-
-    /// Per-shard conservation: everything routed or migrated in was shed,
-    /// finished, failed, migrated out, or is still in flight.
-    pub fn conserved(&self) -> bool {
-        self.routed + self.rebalanced_in
-            == self.shed + self.completed + self.failed + self.rebalanced_out + self.in_flight
-    }
-}
-
-impl ToJson for FleetShardStats {
-    fn to_json(&self) -> Value {
-        mocha_json::jobj! {
-            "label" => self.label.as_str(),
-            "servers" => self.servers as u64,
-            "routed" => self.routed as u64,
-            "shed" => self.shed as u64,
-            "completed" => self.completed as u64,
-            "failed" => self.failed as u64,
-            "in_flight" => self.in_flight as u64,
-            "rebalanced_in" => self.rebalanced_in as u64,
-            "rebalanced_out" => self.rebalanced_out as u64,
-            "faults_injected" => self.faults_injected as u64,
-            "quarantined" => self.quarantined as u64,
-            "busy_cycles" => self.busy_cycles,
-            "lost_cycles" => self.lost_cycles,
-            "latency_p99" => self.latency_percentile(99.0),
-        }
-    }
 }
 
 /// Aggregate outcome of one fleet open-loop run.
@@ -184,7 +95,7 @@ pub struct FleetOpenLoopReport {
 impl FleetOpenLoopReport {
     /// Nearest-rank latency percentile over fleet-wide completions.
     pub fn latency_percentile(&self, p: f64) -> u64 {
-        percentile(&self.latencies, p)
+        nearest_rank(&self.latencies, p)
     }
 
     /// In-SLO completions per million cycles of horizon.
@@ -239,111 +150,6 @@ impl ToJson for FleetOpenLoopReport {
     }
 }
 
-fn percentile(sorted: &[u64], p: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p / 100.0 * sorted.len() as f64).ceil() as usize;
-    sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// Derives each request's template index: requests sharing `(network,
-/// profile)` share an index, numbered in first-appearance order.
-pub fn template_ids(requests: &[Request]) -> Vec<usize> {
-    let mut keys: Vec<(String, String)> = Vec::new();
-    requests
-        .iter()
-        .map(|r| {
-            let k = (r.spec.network.clone(), r.spec.profile.clone());
-            match keys.iter().position(|x| *x == k) {
-                Some(i) => i,
-                None => {
-                    keys.push(k);
-                    keys.len() - 1
-                }
-            }
-        })
-        .collect()
-}
-
-struct Job {
-    idx: usize,
-    template: usize,
-    arrival: u64,
-    deadline: u64, // u64::MAX = no SLO
-    len: u64,
-    attempt_start: u64,
-    end: u64,
-    first_start: Option<u64>,
-    attempts: usize,
-}
-
-struct Slot {
-    queue: VecDeque<Job>,
-    free_at: u64,
-}
-
-struct Shard {
-    fabric: FabricConfig,
-    label: String,
-    slots: Vec<Slot>,
-    requested: usize,
-    servers: usize,
-    quarantine: Quarantine,
-    /// Scheduled first-attempt starts of admitted-but-unstarted jobs;
-    /// lazily popped, rebuilt when a fault shifts schedules.
-    unstarted: BinaryHeap<Reverse<u64>>,
-    /// Templates whose morph decisions this shard has already cached.
-    warm: BTreeSet<usize>,
-    routed: usize,
-    shed: usize,
-    completed: usize,
-    failed: usize,
-    rebalanced_in: usize,
-    rebalanced_out: usize,
-    faults_injected: usize,
-    quarantined: usize,
-    busy: u64,
-    lost: u64,
-    latencies: Vec<u64>,
-}
-
-impl Shard {
-    fn argmin_free(&self) -> usize {
-        let mut best = 0;
-        for (i, s) in self.slots.iter().enumerate() {
-            if s.free_at < self.slots[best].free_at {
-                best = i;
-            }
-        }
-        best
-    }
-}
-
-struct FleetSim<'a> {
-    shards: Vec<Shard>,
-    timelines: Vec<Option<FaultTimeline>>,
-    policy: Box<dyn RoutePolicy>,
-    services: &'a [Vec<u64>],
-    cold_penalty: u64,
-    max_retries: usize,
-    record_spans: bool,
-    outcomes: Vec<RequestOutcome>,
-    admitted: usize,
-    shed: usize,
-    completed: usize,
-    failed: usize,
-    misses: usize,
-    in_slo: usize,
-    rebalanced: usize,
-    cold_misses: usize,
-    warm_hits: usize,
-    wait_sum: u64,
-    horizon: u64,
-    fault_log: Vec<(u64, usize, &'static str)>,
-    latencies: Vec<u64>,
-}
-
 /// Runs the fleet open-loop simulation. `services[s][i]` is the calibrated
 /// service time of request `i` on shard `s` (see
 /// [`mocha_serve::Calibration`]). Returns the aggregate report and the
@@ -355,566 +161,81 @@ pub fn run_fleet_open_loop<R: Recorder>(
     rec: &mut R,
 ) -> (FleetOpenLoopReport, Vec<RequestOutcome>) {
     assert_eq!(services.len(), p.fleet.len(), "one service table per shard");
-    for svc in services {
-        assert_eq!(svc.len(), requests.len(), "one service time per request");
-    }
-    debug_assert!(requests.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-    let templates = template_ids(requests);
     let n = p.fleet.len();
-    rec.add(names::FLEET_SHARDS, n as u64);
-    let mut sim = FleetSim {
-        shards: p
-            .fleet
-            .shards()
-            .iter()
-            .map(|s| {
-                let servers = p.slots.clamp(1, lease::max_tenants(&s.fabric).max(1));
-                Shard {
-                    fabric: s.fabric,
-                    label: s.label.clone(),
-                    slots: (0..servers)
-                        .map(|_| Slot {
-                            queue: VecDeque::new(),
-                            free_at: 0,
-                        })
-                        .collect(),
-                    requested: servers,
-                    servers,
-                    quarantine: Quarantine::default(),
-                    unstarted: BinaryHeap::new(),
-                    warm: BTreeSet::new(),
-                    routed: 0,
-                    shed: 0,
-                    completed: 0,
-                    failed: 0,
-                    rebalanced_in: 0,
-                    rebalanced_out: 0,
-                    faults_injected: 0,
-                    quarantined: 0,
-                    busy: 0,
-                    lost: 0,
-                    latencies: Vec::new(),
-                }
-            })
-            .collect(),
-        timelines: match p.faults {
-            Some(plan) => p
-                .fleet
-                .shards()
-                .iter()
-                .enumerate()
-                .map(|(s, shard)| {
-                    let mut per_shard = plan.clone();
-                    per_shard.seed = shard_seed(plan.seed, s);
-                    Some(FaultTimeline::new(&per_shard, &shard.fabric))
-                })
-                .collect(),
-            None => Vec::new(),
-        },
-        policy: p.route.policy(n, p.route_seed),
-        services,
-        cold_penalty: p.cold_penalty,
-        max_retries: p.faults.map(|f| f.max_retries).unwrap_or(0),
-        record_spans: p.record_spans,
-        outcomes: vec![RequestOutcome::Shed; requests.len()],
-        admitted: 0,
-        shed: 0,
-        completed: 0,
-        failed: 0,
-        misses: 0,
-        in_slo: 0,
-        rebalanced: 0,
-        cold_misses: 0,
-        warm_hits: 0,
-        wait_sum: 0,
-        horizon: 0,
-        fault_log: Vec::new(),
-        latencies: Vec::new(),
-    };
-    if sim.timelines.is_empty() {
-        sim.timelines = (0..n).map(|_| None).collect();
-    }
-
-    for (i, req) in requests.iter().enumerate() {
-        for s in 0..n {
-            sim.drain_faults(s, req.arrival, rec);
-        }
-        for s in 0..n {
-            sim.retire_completed(s, req.arrival, rec);
-        }
-        let views = sim.views_at(req.arrival);
-        let template = templates[i];
-        let chosen = sim.policy.route(template, &views);
-        debug_assert!(chosen < n, "policy returned a valid shard");
-        let depth = views[chosen].depth as u64;
-        rec.add(names::SERVE_REQUESTS, 1);
-        rec.add(names::FLEET_ROUTED, 1);
-        rec.sample(names::HIST_SERVE_QUEUE_DEPTH, depth);
-        rec.sample(names::HIST_FLEET_SHARD_DEPTH, depth);
-        sim.horizon = sim.horizon.max(req.arrival);
-        sim.shards[chosen].routed += 1;
-        let cold = !sim.shards[chosen].warm.contains(&template);
-        let service = services[chosen][i] + if cold { p.cold_penalty } else { 0 };
-        let j = sim.shards[chosen].argmin_free();
-        let start = req.arrival.max(sim.shards[chosen].slots[j].free_at);
-        let deadline = req.deadline.unwrap_or(u64::MAX);
-        let shed = match p.shed {
-            ShedPolicy::None => false,
-            ShedPolicy::Queue(cap) => views[chosen].depth >= cap,
-            ShedPolicy::Deadline => {
-                deadline != u64::MAX
-                    && start.saturating_add(service) > req.arrival.saturating_add(deadline)
-            }
-        };
-        if shed {
-            sim.shed += 1;
-            sim.shards[chosen].shed += 1;
-            rec.add(names::SERVE_SHED, 1);
-            if matches!(p.shed, ShedPolicy::Deadline) {
-                rec.sample(
-                    names::HIST_SERVE_SHED_SLACK,
-                    start + service - (req.arrival + deadline),
-                );
-            }
-            continue; // outcome stays Shed; the shard stays cold
-        }
-        sim.admitted += 1;
-        rec.add(names::SERVE_ADMITTED, 1);
-        if cold {
-            sim.cold_misses += 1;
-            rec.add(names::FLEET_COLD_MISSES, 1);
-            sim.shards[chosen].warm.insert(template);
-        } else {
-            sim.warm_hits += 1;
-            rec.add(names::FLEET_WARM_HITS, 1);
-        }
-        sim.shards[chosen].slots[j].queue.push_back(Job {
-            idx: i,
-            template,
-            arrival: req.arrival,
-            deadline,
-            len: service,
-            attempt_start: start,
-            end: start + service,
-            first_start: None,
-            attempts: 0,
-        });
-        sim.shards[chosen].slots[j].free_at = start + service;
-        if start > req.arrival {
-            sim.shards[chosen].unstarted.push(Reverse(start));
-        }
-    }
-
-    // Trailing faults: keep drawing on every shard while events land
-    // before the fleet's last scheduled completion. Re-balancing can
-    // extend another shard's schedule, so sweep until a full pass makes no
-    // progress.
-    loop {
-        let last = sim
-            .shards
-            .iter()
-            .flat_map(|sh| sh.slots.iter().map(|s| s.free_at))
-            .max()
-            .unwrap_or(0);
-        let mut progressed = false;
-        for s in 0..n {
-            let due = sim.timelines[s]
-                .as_ref()
-                .and_then(|tl| tl.peek())
-                .is_some_and(|ev| ev.at <= last);
-            if due {
-                let ev = sim.timelines[s]
-                    .as_mut()
-                    .and_then(|tl| tl.pop())
-                    .expect("peeked");
-                sim.apply_fault(s, ev, rec);
-                progressed = true;
-            }
-        }
-        if !progressed {
-            break;
-        }
-    }
-    for s in 0..n {
-        sim.retire_completed(s, u64::MAX, rec);
-    }
-
-    let FleetSim {
-        shards,
-        outcomes,
-        admitted,
-        shed,
-        completed,
-        failed,
-        misses,
-        in_slo,
-        rebalanced,
-        cold_misses,
-        warm_hits,
-        wait_sum,
-        horizon,
-        mut fault_log,
-        mut latencies,
-        ..
-    } = sim;
-    fault_log.sort_by_key(|&(at, shard, _)| (at, shard));
-    latencies.sort_unstable();
-    let shard_stats: Vec<FleetShardStats> = shards
-        .into_iter()
-        .map(|mut sh| {
-            sh.latencies.sort_unstable();
-            FleetShardStats {
-                label: sh.label,
-                servers: sh.servers,
-                routed: sh.routed,
-                shed: sh.shed,
-                completed: sh.completed,
-                failed: sh.failed,
-                in_flight: sh.slots.iter().map(|s| s.queue.len()).sum(),
-                rebalanced_in: sh.rebalanced_in,
-                rebalanced_out: sh.rebalanced_out,
-                faults_injected: sh.faults_injected,
-                quarantined: sh.quarantined,
-                busy_cycles: sh.busy,
-                lost_cycles: sh.lost,
-                latencies: sh.latencies,
-            }
+    let shards = p
+        .fleet
+        .shards()
+        .iter()
+        .zip(services)
+        .enumerate()
+        .map(|(s, (shard, services))| ShardSetup {
+            label: shard.label.clone(),
+            fabric: shard.fabric,
+            services,
+            faults: p.faults.map(|plan| {
+                let per_shard = FaultPlan {
+                    seed: shard_seed(plan.seed, s),
+                    ..plan.clone()
+                };
+                FaultTimeline::new(&per_shard, &shard.fabric)
+            }),
+            span_root: format!("fleet/shard{s}/"),
         })
         .collect();
+    let setup = EngineSetup {
+        shards,
+        slots: p.slots,
+        shed: p.shed,
+        max_retries: p.faults.map_or(0, |plan| plan.max_retries),
+        record_spans: p.record_spans,
+        depth_hists: &[names::HIST_SERVE_QUEUE_DEPTH, names::HIST_FLEET_SHARD_DEPTH],
+        routing: Some(p.route.policy(n, p.route_seed)),
+        cold_penalty: p.cold_penalty,
+    };
+    let (run, outcomes) = run_shards(setup, requests, rec);
+    for (name, total) in [
+        (names::FLEET_SHARDS, n),
+        (names::FLEET_ROUTED, requests.len()),
+        (names::FLEET_REBALANCED, run.rebalanced),
+        (names::FLEET_COLD_MISSES, run.cold_misses),
+        (names::FLEET_WARM_HITS, run.warm_hits),
+        (names::FLEET_WARM_EVICTIONS, run.warm_evictions),
+    ] {
+        if total > 0 {
+            rec.add(name, total as u64);
+        }
+    }
+
+    let mut latencies: Vec<u64> = run
+        .shards
+        .iter()
+        .flat_map(|s| s.latencies().iter().copied())
+        .collect();
+    latencies.sort_unstable();
     let report = FleetOpenLoopReport {
         route: p.route.name().to_string(),
         policy: p.shed.name(),
         offered: requests.len(),
-        admitted,
-        shed,
-        completed,
-        failed,
-        deadline_misses: misses,
-        in_slo,
-        rebalanced,
-        cold_misses,
-        warm_hits,
-        faults_injected: shard_stats.iter().map(|s| s.faults_injected).sum(),
-        quarantined: shard_stats.iter().map(|s| s.quarantined).sum(),
-        horizon,
-        busy_cycles: shard_stats.iter().map(|s| s.busy_cycles).sum(),
-        lost_cycles: shard_stats.iter().map(|s| s.lost_cycles).sum(),
-        mean_queue_wait: if completed == 0 {
-            0.0
-        } else {
-            wait_sum as f64 / completed as f64
-        },
-        fault_log: fault_log.into_iter().map(|(at, _, k)| (at, k)).collect(),
+        admitted: run.admitted,
+        shed: run.shed,
+        completed: run.completed,
+        failed: run.failed,
+        deadline_misses: run.deadline_misses,
+        in_slo: run.in_slo,
+        rebalanced: run.rebalanced,
+        cold_misses: run.cold_misses,
+        warm_hits: run.warm_hits,
+        faults_injected: run.shards.iter().map(|s| s.faults_injected).sum(),
+        quarantined: run.shards.iter().map(|s| s.quarantined).sum(),
+        horizon: run.horizon,
+        busy_cycles: run.shards.iter().map(|s| s.busy_cycles).sum(),
+        lost_cycles: run.shards.iter().map(|s| s.lost_cycles).sum(),
+        mean_queue_wait: run.mean_queue_wait,
+        fault_log: run.fault_log,
         latencies,
-        shards: shard_stats,
+        shards: run.shards,
     };
     (report, outcomes)
-}
-
-impl FleetSim<'_> {
-    /// Instantaneous shard views at cycle `t`, in canonical shard order.
-    fn views_at(&mut self, t: u64) -> Vec<ShardView> {
-        self.shards
-            .iter_mut()
-            .map(|sh| {
-                while let Some(&Reverse(s)) = sh.unstarted.peek() {
-                    if s > t {
-                        break;
-                    }
-                    sh.unstarted.pop();
-                }
-                ShardView {
-                    depth: sh.unstarted.len(),
-                    backlog: sh.slots.iter().map(|s| s.free_at.saturating_sub(t)).sum(),
-                }
-            })
-            .collect()
-    }
-
-    fn drain_faults<R: Recorder>(&mut self, s: usize, upto: u64, rec: &mut R) {
-        loop {
-            let due = self.timelines[s]
-                .as_ref()
-                .and_then(|tl| tl.peek())
-                .is_some_and(|ev| ev.at <= upto);
-            if !due {
-                break;
-            }
-            let ev = self.timelines[s]
-                .as_mut()
-                .and_then(|tl| tl.pop())
-                .expect("peeked");
-            self.apply_fault(s, ev, rec);
-        }
-    }
-
-    fn retire_completed<R: Recorder>(&mut self, s: usize, now: u64, rec: &mut R) {
-        for v in 0..self.shards[s].slots.len() {
-            while let Some(front) = self.shards[s].slots[v].queue.front() {
-                if front.end > now {
-                    break;
-                }
-                let job = self.shards[s].slots[v].queue.pop_front().expect("checked");
-                self.complete(s, job, rec);
-            }
-        }
-    }
-
-    fn complete<R: Recorder>(&mut self, s: usize, job: Job, rec: &mut R) {
-        let first = job.first_start.unwrap_or(job.attempt_start);
-        let latency = job.end - job.arrival;
-        let wait = first - job.arrival;
-        self.completed += 1;
-        self.wait_sum += wait;
-        self.horizon = self.horizon.max(job.end);
-        self.latencies.push(latency);
-        let sh = &mut self.shards[s];
-        sh.completed += 1;
-        sh.busy += job.len;
-        sh.latencies.push(latency);
-        rec.sample(names::HIST_JOB_LATENCY, latency);
-        rec.sample(names::HIST_QUEUE_WAIT, wait);
-        if latency <= job.deadline {
-            self.in_slo += 1;
-        } else {
-            self.misses += 1;
-            rec.add(names::SERVE_DEADLINE_MISSES, 1);
-        }
-        if self.record_spans {
-            let idx = job.idx;
-            rec.span(|| format!("fleet/shard{s}/job/{idx}"), first, job.end);
-        }
-        self.outcomes[job.idx] = RequestOutcome::Done {
-            start: first,
-            finish: job.end,
-        };
-    }
-
-    fn fail(&mut self, s: usize, job: Job, at: u64) {
-        self.failed += 1;
-        self.shards[s].failed += 1;
-        self.outcomes[job.idx] = RequestOutcome::Failed { at };
-    }
-
-    /// Slots of shard `s` a fault's hardware scope maps onto; same
-    /// projection as the single-fabric open loop, against this shard's own
-    /// geometry.
-    fn victims(&self, s: usize, kind: &FaultKind) -> Vec<usize> {
-        let sh = &self.shards[s];
-        let n = sh.slots.len();
-        let clamp = |i: usize| i.min(n - 1);
-        match kind {
-            FaultKind::PeRect { col0, .. } => vec![clamp(col0 * n / sh.fabric.pe_cols.max(1))],
-            FaultKind::SpmBank { bank } => vec![clamp(bank * n / sh.fabric.spm_banks.max(1))],
-            FaultKind::NocLane { lane } => vec![lane % n],
-            FaultKind::DmaEngine { engine } => vec![engine % n],
-            FaultKind::DramChannel => (0..n).collect(),
-        }
-    }
-
-    fn apply_fault<R: Recorder>(&mut self, s: usize, ev: FaultEvent, rec: &mut R) {
-        self.shards[s].faults_injected += 1;
-        self.fault_log.push((ev.at, s, ev.kind.name()));
-        rec.add(names::FAULT_INJECTED, 1);
-        rec.add(
-            if ev.permanent {
-                names::FAULT_PERMANENT
-            } else {
-                names::FAULT_TRANSIENT
-            },
-            1,
-        );
-        rec.add(kind_counter(&ev.kind), 1);
-        // Work that finished strictly before the fault commits first.
-        self.retire_completed(s, ev.at, rec);
-        let mut changed = false;
-        for v in self.victims(s, &ev.kind) {
-            changed |= self.disrupt(s, v, ev.at, &ev.kind, rec);
-        }
-        let fabric = self.shards[s].fabric;
-        if ev.permanent && self.shards[s].quarantine.admit(&ev.kind, &fabric) {
-            self.shards[s].quarantined += 1;
-            rec.add(names::FAULT_QUARANTINED, 1);
-            // The carve geometry changed: every cached morph decision on
-            // this shard is stale, and routing must stop chasing it.
-            let evicted_templates = self.shards[s].warm.len() as u64;
-            if evicted_templates > 0 {
-                rec.add(names::FLEET_WARM_EVICTIONS, evicted_templates);
-            }
-            self.shards[s].warm.clear();
-            self.policy.forget_shard(s);
-            let cap = self.shards[s]
-                .requested
-                .min(self.shards[s].quarantine.window(&fabric).max_tenants())
-                .max(1);
-            while self.shards[s].slots.len() > cap {
-                self.evict_last(s, ev.at, &ev.kind, rec);
-                changed = true;
-            }
-        }
-        if changed {
-            self.rebuild_unstarted(s, ev.at);
-        }
-    }
-
-    /// Interrupts the attempt in progress on slot `v` of shard `s` at `t`.
-    fn disrupt<R: Recorder>(
-        &mut self,
-        s: usize,
-        v: usize,
-        t: u64,
-        kind: &FaultKind,
-        rec: &mut R,
-    ) -> bool {
-        let Some(k) = self.shards[s].slots[v]
-            .queue
-            .iter()
-            .position(|j| j.attempt_start <= t && t < j.end)
-        else {
-            return false;
-        };
-        rec.add(names::FAULT_HITS, 1);
-        let failed;
-        {
-            let job = &mut self.shards[s].slots[v].queue[k];
-            let lost = t - job.attempt_start;
-            rec.add(names::FAULT_LOST_CYCLES, lost);
-            if self.record_spans {
-                let kn = kind.name();
-                rec.span(
-                    || format!("fleet/shard{s}/fault/{kn}"),
-                    job.attempt_start,
-                    t,
-                );
-            }
-            if job.first_start.is_none() {
-                job.first_start = Some(job.attempt_start);
-            }
-            job.attempts += 1;
-            failed = job.attempts > self.max_retries;
-            if !failed {
-                rec.add(names::FAULT_RETRIES, 1);
-                job.attempt_start = t;
-                job.end = t + job.len;
-            }
-            self.shards[s].lost += lost;
-        }
-        if failed {
-            let job = self.shards[s].slots[v].queue.remove(k).expect("in range");
-            self.fail(s, job, t);
-            let prev_end = if k == 0 {
-                t
-            } else {
-                self.shards[s].slots[v].queue[k - 1].end
-            };
-            self.reflow(s, v, k, prev_end);
-        } else {
-            let prev_end = self.shards[s].slots[v].queue[k].end;
-            self.reflow(s, v, k + 1, prev_end);
-        }
-        true
-    }
-
-    fn reflow(&mut self, s: usize, v: usize, from: usize, mut prev_end: u64) {
-        let slot = &mut self.shards[s].slots[v];
-        for job in slot.queue.iter_mut().skip(from) {
-            let start = prev_end.max(job.arrival);
-            job.attempt_start = start;
-            job.end = start + job.len;
-            prev_end = job.end;
-        }
-        slot.free_at = slot.queue.back().map(|j| j.end).unwrap_or(prev_end);
-    }
-
-    /// Removes shard `s`'s last slot (quarantine shrank the carve window)
-    /// and *re-balances* its residents: each surviving job is re-routed
-    /// through the fleet policy, so healthy shards absorb the displaced
-    /// work. A cross-shard move is re-costed with the destination's
-    /// calibrated service time (plus the cold penalty if the destination
-    /// has never seen the template).
-    fn evict_last<R: Recorder>(&mut self, s: usize, t: u64, kind: &FaultKind, rec: &mut R) {
-        let mut slot = self.shards[s]
-            .slots
-            .pop()
-            .expect("capacity is at least one");
-        while let Some(mut job) = slot.queue.pop_front() {
-            rec.add(names::FAULT_EVICTIONS, 1);
-            if job.attempt_start <= t {
-                // The active attempt loses its work.
-                let lost = t - job.attempt_start;
-                self.shards[s].lost += lost;
-                rec.add(names::FAULT_LOST_CYCLES, lost);
-                if self.record_spans {
-                    let kn = kind.name();
-                    rec.span(
-                        || format!("fleet/shard{s}/fault/{kn}"),
-                        job.attempt_start,
-                        t,
-                    );
-                }
-                if job.first_start.is_none() {
-                    job.first_start = Some(job.attempt_start);
-                }
-                job.attempts += 1;
-                if job.attempts > self.max_retries {
-                    self.fail(s, job, t);
-                    continue;
-                }
-                rec.add(names::FAULT_RETRIES, 1);
-            }
-            let views = self.views_at(t);
-            let dest = self.policy.route(job.template, &views);
-            if dest != s {
-                self.rebalanced += 1;
-                rec.add(names::FLEET_REBALANCED, 1);
-                self.shards[s].rebalanced_out += 1;
-                self.shards[dest].rebalanced_in += 1;
-                let cold = !self.shards[dest].warm.contains(&job.template);
-                job.len = self.services[dest][job.idx] + if cold { self.cold_penalty } else { 0 };
-                if cold {
-                    self.cold_misses += 1;
-                    rec.add(names::FLEET_COLD_MISSES, 1);
-                    self.shards[dest].warm.insert(job.template);
-                } else {
-                    self.warm_hits += 1;
-                    rec.add(names::FLEET_WARM_HITS, 1);
-                }
-            }
-            let sh = &mut self.shards[dest];
-            let j = sh.argmin_free();
-            let start = t.max(sh.slots[j].free_at).max(job.arrival);
-            job.attempt_start = start;
-            job.end = start + job.len;
-            sh.slots[j].free_at = job.end;
-            if job.first_start.is_none() && start > t {
-                sh.unstarted.push(Reverse(start));
-            }
-            sh.slots[j].queue.push_back(job);
-        }
-    }
-
-    /// Re-derives shard `s`'s unstarted-start heap after schedules shifted.
-    fn rebuild_unstarted(&mut self, s: usize, t: u64) {
-        let sh = &mut self.shards[s];
-        sh.unstarted.clear();
-        for slot in &sh.slots {
-            for job in &slot.queue {
-                if job.first_start.is_none() && job.attempt_start > t {
-                    sh.unstarted.push(Reverse(job.attempt_start));
-                }
-            }
-        }
-    }
-}
-
-fn kind_counter(kind: &FaultKind) -> &'static str {
-    match kind {
-        FaultKind::PeRect { .. } => names::FAULT_INJECTED_PE,
-        FaultKind::SpmBank { .. } => names::FAULT_INJECTED_SPM,
-        FaultKind::NocLane { .. } => names::FAULT_INJECTED_NOC,
-        FaultKind::DmaEngine { .. } => names::FAULT_INJECTED_DMA,
-        FaultKind::DramChannel => names::FAULT_INJECTED_DRAM,
-    }
 }
 
 #[cfg(test)]

@@ -14,34 +14,15 @@
 //! * `p2c` samples two distinct shards and picks the one with the smaller
 //!   queue depth — the classic load-balancing result that two choices get
 //!   exponentially close to best-of-N.
+//!
+//! The [`RoutePolicy`] trait and [`ShardView`] live next to the open-loop
+//! engine that consults them (`mocha_serve::openloop`) and are re-exported
+//! here.
 
 use std::collections::BTreeMap;
 
 use mocha_model::rng::ModelRng;
-
-/// Instantaneous view of one shard, passed to [`RoutePolicy::route`] in
-/// canonical shard order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardView {
-    /// Jobs admitted to the shard but not yet started.
-    pub depth: usize,
-    /// Estimated backlog in cycles (service estimate of everything queued).
-    pub backlog: u64,
-}
-
-/// A routing policy. `template` identifies the job's shape class (index
-/// into the workload's template table) so locality-aware policies can track
-/// per-shard warmth.
-pub trait RoutePolicy {
-    /// Stable policy name, as printed in reports and parsed by the CLI.
-    fn name(&self) -> &'static str;
-    /// Pick a shard for the next job. `views.len()` is the fleet size and
-    /// is always ≥ 1; the returned index must be `< views.len()`.
-    fn route(&mut self, template: usize, views: &[ShardView]) -> usize;
-    /// A shard was quarantined: drop any affinity state for it so future
-    /// jobs do not chase a cold (or dead) cache.
-    fn forget_shard(&mut self, shard: usize);
-}
+pub use mocha_serve::openloop::{RoutePolicy, ShardView};
 
 /// Which routing policy to run. Parsed from the CLI `--route` flag.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,6 +9,20 @@
 
 use std::collections::BTreeMap;
 
+/// Nearest-rank percentile of an ascending-sorted sample: the value at
+/// rank `ceil(p/100 · n)`, clamped to `[1, n]` — the definition
+/// [`Histogram::quantile`] walks to. 0 when empty.
+///
+/// Every report percentile in the workspace goes through this one
+/// function.
+pub fn nearest_rank(sorted: &[u64], p: f64) -> u64 {
+    if sorted.is_empty() {
+        return 0;
+    }
+    let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
+    sorted[rank.clamp(1, sorted.len()) - 1]
+}
+
 /// An exact streaming histogram of `u64` samples.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Histogram {
@@ -170,6 +184,32 @@ mod tests {
         assert_eq!(h.quantile(25.0), Some(100));
         assert_eq!(h.quantile(0.0), Some(100));
         assert_eq!(h.quantile(100.0), Some(400));
+    }
+
+    #[test]
+    fn sorted_slice_nearest_rank_matches_the_walk() {
+        let ladder = [100, 200, 300, 400];
+        let mut h = Histogram::new();
+        for v in ladder {
+            h.record(v);
+        }
+        for p in [0.0, 1.0, 25.0, 50.0, 95.0, 99.0, 100.0] {
+            assert_eq!(nearest_rank(&ladder, p), h.quantile(p).unwrap(), "p{p}");
+        }
+        assert_eq!(nearest_rank(&[], 50.0), 0);
+    }
+
+    #[test]
+    fn float_rank_equals_the_integer_ceiling_form() {
+        // `ceil(p/100 · n)` in f64 and `(p · n).div_ceil(100)` in integers
+        // pick the same rank at every percentile reports print.
+        let sorted: Vec<u64> = (0..2_000).collect();
+        for n in 1..=sorted.len() {
+            for p in [50u64, 75, 90, 95, 99] {
+                let rank = (p * n as u64).div_ceil(100).max(1);
+                assert_eq!(nearest_rank(&sorted[..n], p as f64), rank - 1, "n={n} p{p}");
+            }
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ pub mod names;
 mod record;
 pub mod window;
 
-pub use hist::Histogram;
+pub use hist::{nearest_rank, Histogram};
 pub use record::{MemRecorder, SpanEvent};
 pub use window::{
     LabelInterner, LabelSet, SloRow, SloTracker, WindowSet, WindowSpec, WindowedMetrics,

@@ -103,12 +103,8 @@ impl RuntimeReport {
     /// Nearest-rank percentile of arrival-to-completion latency, cycles.
     pub fn latency_percentile(&self, p: f64) -> u64 {
         let mut lat: Vec<u64> = self.jobs.iter().map(JobReport::latency).collect();
-        if lat.is_empty() {
-            return 0;
-        }
         lat.sort_unstable();
-        let rank = ((p / 100.0) * lat.len() as f64).ceil() as usize;
-        lat[rank.clamp(1, lat.len()) - 1]
+        mocha_obs::nearest_rank(&lat, p)
     }
 
     /// Mean admission queue wait, cycles.
@@ -269,10 +265,14 @@ mod tests {
             for j in &r.jobs {
                 h.record(j.latency());
             }
+            let mut sorted: Vec<u64> = r.jobs.iter().map(JobReport::latency).collect();
+            sorted.sort_unstable();
             for p in [0.0, 1.0, 50.0, 95.0, 99.0, 100.0] {
                 assert_eq!(r.latency_percentile(p), h.quantile(p).unwrap(), "p{p}");
+                assert_eq!(mocha_obs::nearest_rank(&sorted, p), r.latency_percentile(p));
             }
         }
+        assert_eq!(mocha_obs::nearest_rank(&[], 50.0), 0);
         assert_eq!(single.latency_percentile(50.0), 500);
         assert_eq!(equal.latency_percentile(99.0), 300);
     }

@@ -761,7 +761,7 @@ fn run_impl<R: Recorder>(
 }
 
 /// The `fault.injected_<kind>` counter for a fault's scope.
-fn kind_counter(kind: &FaultKind) -> &'static str {
+pub fn kind_counter(kind: &FaultKind) -> &'static str {
     match kind {
         FaultKind::PeRect { .. } => names::FAULT_INJECTED_PE,
         FaultKind::SpmBank { .. } => names::FAULT_INJECTED_SPM,

@@ -17,10 +17,11 @@
 //! * [`traffic`] — seeded heavy-tailed (bounded-Pareto) open-loop arrival
 //!   traces over skewed tenant populations, with a JSON-lines file form
 //!   for replay;
-//! * [`openloop`] — the open-loop queueing simulation behind experiment
-//!   R3: calibrated service times, FIFO slots, shedding, and fault-driven
-//!   capacity loss (quarantine composition), producing goodput/latency
-//!   curves;
+//! * [`openloop`] — the one open-loop queueing engine, behind experiments
+//!   R3 and R5: calibrated service times, FIFO slots, shedding, and
+//!   fault-driven capacity loss (quarantine composition) over one fabric
+//!   or, routed by a [`openloop::RoutePolicy`], many shards, producing
+//!   goodput/latency curves;
 //! * [`protocol`] — JSON-lines hardening shared by the reactor and the
 //!   stdin front-end: whitespace/CRLF-only terminators and capped request
 //!   lines.

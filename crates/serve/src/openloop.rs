@@ -1,27 +1,30 @@
-//! The deterministic open-loop serving simulation behind experiment R3.
+//! The deterministic open-loop queueing engine behind experiments R3 and R5.
 //!
-//! Arrivals from a [`Request`] trace are admitted onto `c` tenant slots —
-//! FIFO per slot, earliest-free-slot placement, which is the classic
+//! Arrivals from a [`Request`] trace are admitted onto `c` tenant slots per
+//! shard — FIFO per slot, earliest-free-slot placement: the classic
 //! `c`-server FIFO queue — where each admitted request holds its slot for
-//! its *calibrated* service time ([`crate::calibrate`]). This is a
-//! queueing-level model, not a re-run of the cycle-accurate runtime: it
-//! keeps 10⁵-request load sweeps tractable while preserving exactly the
-//! quantities R3 studies — queueing delay, deadline misses, shed rate,
-//! goodput — and the calibration ties its service times to the real
-//! simulator.
+//! its *calibrated* service time ([`crate::calibrate`]). This queueing-level
+//! model keeps 10⁵-request load sweeps tractable while preserving exactly
+//! what R3 studies — queueing delay, deadline misses, shed rate, goodput —
+//! and the calibration ties its service times to the real simulator.
 //!
-//! Faults compose the same way they do in the runtime: a seeded
-//! [`FaultTimeline`] interleaves with arrivals; a fault that lands on a
-//! busy slot discards the in-progress attempt (bounded retries, then the
-//! job fails), and a *permanent* fault is offered to [`Quarantine`] — when
-//! admitted, the healthy carve window shrinks and excess slots are evicted,
-//! their residents migrating to the surviving slots. Shedding therefore
-//! reacts to fault-driven capacity loss with no extra coupling: fewer
-//! slots ⇒ later predicted starts ⇒ more sheds.
+//! One engine, [`run_shards`], serves both front ends. [`run_open_loop`] is
+//! its one-shard case: one fabric, no routing, no cold penalty.
+//! `mocha-fleet` runs it over N heterogeneous shards, routing each arrival
+//! with a [`RoutePolicy`]; with routing on, the first job of a template on
+//! a shard pays a cold decision-cache penalty.
 //!
-//! The whole simulation is a sequential pure function of `(trace,
-//! services, policy, fault plan)`: byte-identical output at any worker
-//! count, which is what lets `ci.sh` gate R3 across `--threads 1/2/8`.
+//! Faults compose as in the runtime: each shard's seeded [`FaultTimeline`]
+//! interleaves with arrivals; a fault on a busy slot discards the attempt
+//! in progress (bounded retries, then the job fails), and a *permanent*
+//! fault admitted by the shard's [`Quarantine`] shrinks its carve window,
+//! clears its template warmth and evicts excess slots, whose residents are
+//! re-homed through the router. Fewer slots ⇒ later predicted starts ⇒
+//! more sheds: shedding reacts to capacity loss with no extra coupling.
+//!
+//! A run is a sequential pure function of `(trace, services, policies,
+//! fault plans)`: byte-identical at any worker count, which is what lets
+//! `ci.sh` gate R3 and R5 across `--threads 1/2/8`.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -29,8 +32,9 @@ use std::collections::{BinaryHeap, VecDeque};
 use mocha_fabric::FabricConfig;
 use mocha_fault::{FaultEvent, FaultKind, FaultPlan, FaultTimeline, Quarantine};
 use mocha_json::{ToJson, Value};
-use mocha_obs::{names, Recorder};
+use mocha_obs::{names, nearest_rank, Recorder};
 use mocha_runtime::lease;
+use mocha_runtime::scheduler::kind_counter;
 
 use crate::shed::ShedPolicy;
 use crate::traffic::Request;
@@ -115,11 +119,7 @@ pub struct OpenLoopReport {
 impl OpenLoopReport {
     /// Nearest-rank latency percentile over completions (0 when none).
     pub fn latency_percentile(&self, p: f64) -> u64 {
-        if self.latencies.is_empty() {
-            return 0;
-        }
-        let rank = (p / 100.0 * self.latencies.len() as f64).ceil() as usize;
-        self.latencies[rank.clamp(1, self.latencies.len()) - 1]
+        nearest_rank(&self.latencies, p)
     }
 
     /// In-SLO completions per million cycles of horizon — the goodput R3
@@ -169,6 +169,242 @@ impl ToJson for OpenLoopReport {
     }
 }
 
+/// Runs the open-loop simulation over a trace on one fabric. `services[i]`
+/// is the calibrated slot service time of `requests[i]` (see
+/// [`Calibration::service`](crate::Calibration::service)). Returns the
+/// aggregate report and the per-request outcomes in trace order.
+pub fn run_open_loop<R: Recorder>(
+    p: &OpenLoopParams,
+    requests: &[Request],
+    services: &[u64],
+    rec: &mut R,
+) -> (OpenLoopReport, Vec<RequestOutcome>) {
+    let shard = ShardSetup {
+        label: String::new(),
+        fabric: *p.fabric,
+        services,
+        faults: p.faults.map(|plan| FaultTimeline::new(plan, p.fabric)),
+        span_root: String::new(),
+    };
+    let setup = EngineSetup {
+        shards: vec![shard],
+        slots: p.slots,
+        shed: p.shed,
+        max_retries: p.faults.map_or(0, |plan| plan.max_retries),
+        record_spans: p.record_spans,
+        depth_hists: &[names::HIST_SERVE_QUEUE_DEPTH],
+        routing: None,
+        cold_penalty: 0,
+    };
+    let (mut run, outcomes) = run_shards(setup, requests, rec);
+    let shard = run.shards.pop().expect("one shard in, one shard out");
+    let report = OpenLoopReport {
+        policy: p.shed.name(),
+        servers: shard.servers,
+        offered: requests.len(),
+        admitted: run.admitted,
+        shed: run.shed,
+        completed: run.completed,
+        failed: run.failed,
+        deadline_misses: run.deadline_misses,
+        in_slo: run.in_slo,
+        horizon: run.horizon,
+        busy_cycles: shard.busy_cycles,
+        lost_cycles: shard.lost_cycles,
+        faults_injected: shard.faults_injected,
+        quarantined: shard.quarantined,
+        mean_queue_wait: run.mean_queue_wait,
+        fault_log: run.fault_log,
+        latencies: shard.latencies,
+    };
+    (report, outcomes)
+}
+
+/// Instantaneous view of one shard, passed to [`RoutePolicy::route`] in
+/// canonical shard order.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ShardView {
+    /// Jobs admitted to the shard but not yet started.
+    pub depth: usize,
+    /// Estimated backlog in cycles (service estimate of everything queued).
+    pub backlog: u64,
+}
+
+/// A routing policy. `template` identifies the job's shape class (index
+/// into the workload's template table) so locality-aware policies can track
+/// per-shard warmth.
+pub trait RoutePolicy {
+    /// Stable policy name, as printed in reports and parsed by the CLI.
+    fn name(&self) -> &'static str;
+    /// Pick a shard for the next job. `views.len()` is the fleet size and
+    /// is always ≥ 1; the returned index must be `< views.len()`.
+    fn route(&mut self, template: usize, views: &[ShardView]) -> usize;
+    /// A shard was quarantined: drop any affinity state for it so future
+    /// jobs do not chase a cold (or dead) cache.
+    fn forget_shard(&mut self, shard: usize);
+}
+
+/// Derives each request's template index: requests sharing `(network,
+/// profile)` share an index, numbered in first-appearance order.
+pub fn template_ids(requests: &[Request]) -> Vec<usize> {
+    let mut keys: Vec<(&str, &str)> = Vec::new();
+    requests
+        .iter()
+        .map(|r| {
+            let k = (r.spec.network.as_str(), r.spec.profile.as_str());
+            keys.iter().position(|x| *x == k).unwrap_or_else(|| {
+                keys.push(k);
+                keys.len() - 1
+            })
+        })
+        .collect()
+}
+
+/// One shard of an engine run.
+pub struct ShardSetup<'a> {
+    /// Label carried into the shard's [`ShardStats`].
+    pub label: String,
+    /// Geometry the shard's tenant slots are carved from.
+    pub fabric: FabricConfig,
+    /// Calibrated service time of every request on this shard.
+    pub services: &'a [u64],
+    /// This shard's fault schedule, if any.
+    pub faults: Option<FaultTimeline>,
+    /// Prefix of the shard's `job/<idx>` and `fault/<kind>` span paths.
+    pub span_root: String,
+}
+
+/// Everything one engine run needs besides the trace.
+pub struct EngineSetup<'a> {
+    /// The shards, in canonical order.
+    pub shards: Vec<ShardSetup<'a>>,
+    /// Requested tenant slots per shard (clamped per shard to what its
+    /// fabric can host).
+    pub slots: usize,
+    /// Admission-control policy, applied on the routed shard.
+    pub shed: ShedPolicy,
+    /// Attempts a job may lose to faults before it fails.
+    pub max_retries: usize,
+    /// Record per-request job spans and lost-work fault spans.
+    pub record_spans: bool,
+    /// Histograms that sample the routed shard's queue depth per arrival.
+    pub depth_hists: &'a [&'static str],
+    /// Picks each arrival's shard and re-homes jobs evicted by quarantine
+    /// (consulted only with more than one shard), and turns on template
+    /// warmth. `None` sends every arrival to the only shard.
+    pub routing: Option<Box<dyn RoutePolicy>>,
+    /// Extra cycles a template's first admission on a shard pays; charged
+    /// only with routing.
+    pub cold_penalty: u64,
+}
+
+/// Per-shard tallies of one engine run, in canonical shard order.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ShardStats {
+    /// Shard label (`16x16/32b`; empty on a single fabric).
+    pub label: String,
+    /// Tenant slots the shard started with.
+    pub servers: usize,
+    /// Requests the router sent here (including ones shed at admission).
+    pub routed: usize,
+    /// Requests shed at this shard's admission gate.
+    pub shed: usize,
+    /// Jobs that completed here (including re-balanced arrivals).
+    pub completed: usize,
+    /// Jobs that exhausted their fault-retry budget here.
+    pub failed: usize,
+    /// Jobs still queued when the simulation ended (always 0 today: the
+    /// final drain retires everything; kept explicit for the conservation
+    /// identity).
+    pub in_flight: usize,
+    /// Jobs that migrated *in* from a quarantined shard.
+    pub rebalanced_in: usize,
+    /// Jobs that migrated *out* when this shard quarantined.
+    pub rebalanced_out: usize,
+    /// Fault events drawn from this shard's timeline.
+    pub faults_injected: usize,
+    /// Permanent faults admitted into this shard's quarantine.
+    pub quarantined: usize,
+    /// Slot-cycles spent on successful service attempts.
+    pub busy_cycles: u64,
+    /// Slot-cycles discarded to faults.
+    pub lost_cycles: u64,
+    latencies: Vec<u64>, // sorted
+}
+
+impl ShardStats {
+    /// Nearest-rank latency percentile over this shard's completions.
+    pub fn latency_percentile(&self, p: f64) -> u64 {
+        nearest_rank(&self.latencies, p)
+    }
+
+    /// This shard's completion latencies, sorted.
+    pub fn latencies(&self) -> &[u64] {
+        &self.latencies
+    }
+
+    /// Per-shard conservation: everything routed or migrated in was shed,
+    /// finished, failed, migrated out, or is still in flight.
+    pub fn conserved(&self) -> bool {
+        self.routed + self.rebalanced_in
+            == self.shed + self.completed + self.failed + self.rebalanced_out + self.in_flight
+    }
+}
+
+impl ToJson for ShardStats {
+    fn to_json(&self) -> Value {
+        mocha_json::jobj! {
+            "label" => self.label.as_str(),
+            "servers" => self.servers as u64,
+            "routed" => self.routed as u64,
+            "shed" => self.shed as u64,
+            "completed" => self.completed as u64,
+            "failed" => self.failed as u64,
+            "in_flight" => self.in_flight as u64,
+            "rebalanced_in" => self.rebalanced_in as u64,
+            "rebalanced_out" => self.rebalanced_out as u64,
+            "faults_injected" => self.faults_injected as u64,
+            "quarantined" => self.quarantined as u64,
+            "busy_cycles" => self.busy_cycles,
+            "lost_cycles" => self.lost_cycles,
+            "latency_p99" => self.latency_percentile(99.0),
+        }
+    }
+}
+
+/// Aggregate outcome of one engine run.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct EngineRun {
+    /// Per-shard tallies, in canonical shard order.
+    pub shards: Vec<ShardStats>,
+    /// Requests admitted past the shed gate.
+    pub admitted: usize,
+    /// Requests shed at admission.
+    pub shed: usize,
+    /// Admitted requests that completed.
+    pub completed: usize,
+    /// Admitted requests dropped after exhausting fault retries.
+    pub failed: usize,
+    /// Completions past their deadline.
+    pub deadline_misses: usize,
+    /// Completions within their deadline.
+    pub in_slo: usize,
+    /// Cross-shard migrations triggered by quarantines.
+    pub rebalanced: usize,
+    /// Admissions that paid the cold penalty (0 without routing).
+    pub cold_misses: usize,
+    /// Admissions onto a warm (template, shard) pair (0 without routing).
+    pub warm_hits: usize,
+    /// Warm templates dropped by quarantines.
+    pub warm_evictions: usize,
+    /// Last simulated cycle (max of arrivals and completions).
+    pub horizon: u64,
+    /// Mean first-start queue wait over completions, cycles.
+    pub mean_queue_wait: f64,
+    /// Every fault event drawn, sorted by `(cycle, shard)`.
+    pub fault_log: Vec<(u64, &'static str)>,
+}
+
 /// One admitted request somewhere in a slot's FIFO queue.
 struct Job {
     idx: usize,
@@ -185,197 +421,29 @@ struct Job {
     attempts: usize,
 }
 
+#[derive(Default)]
 struct Slot {
     queue: VecDeque<Job>,
     free_at: u64,
 }
 
-struct Sim {
+struct Shard<'a> {
+    setup: ShardSetup<'a>,
     slots: Vec<Slot>,
     requested: usize,
     quarantine: Quarantine,
-    /// Scheduled first-attempt starts of admitted-but-unstarted requests;
-    /// its length after popping elapsed entries is the queue depth.
-    /// Rebuilt whenever a fault shifts schedules.
+    /// Scheduled first-attempt starts of admitted-but-unstarted jobs; its
+    /// length after popping elapsed entries is the queue depth. Rebuilt
+    /// whenever a fault shifts schedules.
     unstarted: BinaryHeap<Reverse<u64>>,
-    outcomes: Vec<RequestOutcome>,
-    admitted: usize,
-    shed: usize,
-    completed: usize,
-    failed: usize,
-    misses: usize,
-    in_slo: usize,
-    busy: u64,
-    lost: u64,
-    wait_sum: u64,
-    horizon: u64,
-    faults_injected: usize,
-    quarantined: usize,
-    fault_log: Vec<(u64, &'static str)>,
-    latencies: Vec<u64>,
+    /// Per template: has this shard cached its morph decisions?
+    warm: Vec<bool>,
+    tally: ShardStats,
 }
 
-/// Runs the open-loop simulation over a trace. `services[i]` is the
-/// calibrated slot service time of `requests[i]` (see
-/// [`Calibration::service`](crate::Calibration::service)). Returns the
-/// aggregate report and the per-request outcomes in trace order.
-pub fn run_open_loop<R: Recorder>(
-    p: &OpenLoopParams,
-    requests: &[Request],
-    services: &[u64],
-    rec: &mut R,
-) -> (OpenLoopReport, Vec<RequestOutcome>) {
-    assert_eq!(
-        requests.len(),
-        services.len(),
-        "one service time per request"
-    );
-    debug_assert!(requests.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-    let servers = p.slots.clamp(1, lease::max_tenants(p.fabric).max(1));
-    let mut timeline = p.faults.map(|plan| FaultTimeline::new(plan, p.fabric));
-    let mut sim = Sim {
-        slots: (0..servers)
-            .map(|_| Slot {
-                queue: VecDeque::new(),
-                free_at: 0,
-            })
-            .collect(),
-        requested: servers,
-        quarantine: Quarantine::default(),
-        unstarted: BinaryHeap::new(),
-        outcomes: vec![RequestOutcome::Shed; requests.len()],
-        admitted: 0,
-        shed: 0,
-        completed: 0,
-        failed: 0,
-        misses: 0,
-        in_slo: 0,
-        busy: 0,
-        lost: 0,
-        wait_sum: 0,
-        horizon: 0,
-        faults_injected: 0,
-        quarantined: 0,
-        fault_log: Vec::new(),
-        latencies: Vec::new(),
-    };
-
-    for (i, (req, &service)) in requests.iter().zip(services).enumerate() {
-        sim.drain_faults(&mut timeline, p, req.arrival, rec);
-        sim.retire_completed(req.arrival, rec, p.record_spans);
-        while let Some(&Reverse(s)) = sim.unstarted.peek() {
-            if s > req.arrival {
-                break;
-            }
-            sim.unstarted.pop();
-        }
-        let depth = sim.unstarted.len();
-        rec.add(names::SERVE_REQUESTS, 1);
-        rec.sample(names::HIST_SERVE_QUEUE_DEPTH, depth as u64);
-        sim.horizon = sim.horizon.max(req.arrival);
-        let j = sim.argmin_free();
-        let start = req.arrival.max(sim.slots[j].free_at);
-        let deadline = req.deadline.unwrap_or(u64::MAX);
-        let shed = match p.shed {
-            ShedPolicy::None => false,
-            ShedPolicy::Queue(cap) => depth >= cap,
-            ShedPolicy::Deadline => {
-                deadline != u64::MAX
-                    && start.saturating_add(service) > req.arrival.saturating_add(deadline)
-            }
-        };
-        if shed {
-            sim.shed += 1;
-            rec.add(names::SERVE_SHED, 1);
-            if matches!(p.shed, ShedPolicy::Deadline) {
-                rec.sample(
-                    names::HIST_SERVE_SHED_SLACK,
-                    start + service - (req.arrival + deadline),
-                );
-            }
-            continue; // outcome stays Shed
-        }
-        sim.admitted += 1;
-        rec.add(names::SERVE_ADMITTED, 1);
-        sim.slots[j].queue.push_back(Job {
-            idx: i,
-            arrival: req.arrival,
-            deadline,
-            len: service,
-            attempt_start: start,
-            end: start + service,
-            first_start: None,
-            attempts: 0,
-        });
-        sim.slots[j].free_at = start + service;
-        if start > req.arrival {
-            sim.unstarted.push(Reverse(start));
-        }
-    }
-
-    // Trailing faults: keep drawing while events land before the last
-    // scheduled completion, so a fault cannot be skipped just because no
-    // arrival follows it.
-    loop {
-        let last = sim.slots.iter().map(|s| s.free_at).max().unwrap_or(0);
-        let Some(tl) = timeline.as_mut() else { break };
-        match tl.peek() {
-            Some(ev) if ev.at <= last => {
-                let ev = tl.pop().expect("peeked");
-                sim.apply_fault(ev, p, rec);
-            }
-            _ => break,
-        }
-    }
-    sim.retire_completed(u64::MAX, rec, p.record_spans);
-
-    let Sim {
-        admitted,
-        shed,
-        completed,
-        failed,
-        misses,
-        in_slo,
-        busy,
-        lost,
-        wait_sum,
-        horizon,
-        faults_injected,
-        quarantined,
-        fault_log,
-        mut latencies,
-        outcomes,
-        ..
-    } = sim;
-    latencies.sort_unstable();
-    let report = OpenLoopReport {
-        policy: p.shed.name(),
-        servers,
-        offered: requests.len(),
-        admitted,
-        shed,
-        completed,
-        failed,
-        deadline_misses: misses,
-        in_slo,
-        horizon,
-        busy_cycles: busy,
-        lost_cycles: lost,
-        faults_injected,
-        quarantined,
-        mean_queue_wait: if completed == 0 {
-            0.0
-        } else {
-            wait_sum as f64 / completed as f64
-        },
-        fault_log,
-        latencies,
-    };
-    (report, outcomes)
-}
-
-impl Sim {
+impl Shard<'_> {
     /// Earliest-free slot, ties toward the lowest index.
+    #[inline]
     fn argmin_free(&self) -> usize {
         let mut best = 0;
         for (i, s) in self.slots.iter().enumerate() {
@@ -386,55 +454,305 @@ impl Sim {
         best
     }
 
-    fn drain_faults<R: Recorder>(
-        &mut self,
-        timeline: &mut Option<FaultTimeline>,
-        p: &OpenLoopParams,
-        upto: u64,
-        rec: &mut R,
-    ) {
-        let Some(tl) = timeline.as_mut() else { return };
-        while let Some(ev) = tl.peek() {
-            if ev.at > upto {
+    /// Queues `job` on slot `j`, starting no earlier than `t`, its arrival
+    /// or the slot's backlog.
+    #[inline]
+    fn place(&mut self, j: usize, mut job: Job, t: u64) {
+        let start = t.max(self.slots[j].free_at).max(job.arrival);
+        job.attempt_start = start;
+        job.end = start + job.len;
+        self.slots[j].free_at = job.end;
+        if job.first_start.is_none() && start > t {
+            self.unstarted.push(Reverse(start));
+        }
+        self.slots[j].queue.push_back(job);
+    }
+
+    /// Queue depth at `t`: admitted jobs whose first start lies after `t`.
+    #[inline]
+    fn depth_at(&mut self, t: u64) -> usize {
+        while let Some(&Reverse(s)) = self.unstarted.peek() {
+            if s > t {
                 break;
             }
-            let ev = tl.pop().expect("peeked");
-            self.apply_fault(ev, p, rec);
+            self.unstarted.pop();
+        }
+        self.unstarted.len()
+    }
+
+    #[inline]
+    fn due_fault(&mut self, upto: u64) -> Option<FaultEvent> {
+        let tl = self.setup.faults.as_mut()?;
+        if tl.peek()?.at > upto {
+            return None;
+        }
+        tl.pop()
+    }
+}
+
+struct Engine<'a> {
+    /// The run's settings; its shard list has moved into `shards`.
+    cfg: EngineSetup<'a>,
+    shards: Vec<Shard<'a>>,
+    /// Reused per routing decision.
+    views: Vec<ShardView>,
+    /// Template index per request; empty without routing.
+    templates: Vec<usize>,
+    outcomes: Vec<RequestOutcome>,
+    run: EngineRun,
+    wait_sum: u64,
+    fault_log: Vec<(u64, usize, &'static str)>,
+}
+
+/// Runs the open-loop engine over a trace. Every shard's `services` holds
+/// one service time per request. Returns the aggregate run and the
+/// per-request outcomes in trace order.
+pub fn run_shards<R: Recorder>(
+    mut setup: EngineSetup,
+    requests: &[Request],
+    rec: &mut R,
+) -> (EngineRun, Vec<RequestOutcome>) {
+    let n = setup.shards.len();
+    assert!(
+        n == 1 || setup.routing.is_some(),
+        "many shards need routing"
+    );
+    debug_assert!(requests.windows(2).all(|w| w[0].arrival <= w[1].arrival));
+    let templates = match setup.routing {
+        Some(_) => template_ids(requests),
+        None => Vec::new(),
+    };
+    let warm_len = templates.iter().max().map_or(0, |&t| t + 1);
+    let shards = std::mem::take(&mut setup.shards);
+    let mut sim = Engine {
+        shards: shards
+            .into_iter()
+            .map(|s| {
+                assert_eq!(
+                    s.services.len(),
+                    requests.len(),
+                    "one service time per request"
+                );
+                let servers = setup.slots.clamp(1, lease::max_tenants(&s.fabric).max(1));
+                Shard {
+                    setup: s,
+                    slots: (0..servers).map(|_| Slot::default()).collect(),
+                    requested: servers,
+                    quarantine: Quarantine::default(),
+                    unstarted: BinaryHeap::new(),
+                    warm: vec![false; warm_len],
+                    tally: ShardStats {
+                        servers,
+                        ..ShardStats::default()
+                    },
+                }
+            })
+            .collect(),
+        views: vec![ShardView::default(); n],
+        templates,
+        cfg: setup,
+        outcomes: vec![RequestOutcome::Shed; requests.len()],
+        run: EngineRun::default(),
+        wait_sum: 0,
+        fault_log: Vec::new(),
+    };
+
+    for (i, req) in requests.iter().enumerate() {
+        for s in 0..n {
+            while let Some(ev) = sim.shards[s].due_fault(req.arrival) {
+                sim.apply_fault(s, ev, rec);
+            }
+        }
+        for s in 0..n {
+            sim.retire_completed(s, req.arrival, rec);
+        }
+        sim.admit(i, req, rec);
+    }
+
+    // Trailing faults: keep drawing on every shard while events land
+    // before the last scheduled completion, so a fault cannot be skipped
+    // just because no arrival follows it. Re-balancing can extend another
+    // shard's schedule, so sweep until a full pass makes no progress.
+    loop {
+        let last = sim
+            .shards
+            .iter()
+            .flat_map(|sh| sh.slots.iter().map(|s| s.free_at))
+            .max()
+            .unwrap_or(0);
+        let mut progressed = false;
+        for s in 0..n {
+            if let Some(ev) = sim.shards[s].due_fault(last) {
+                sim.apply_fault(s, ev, rec);
+                progressed = true;
+            }
+        }
+        if !progressed {
+            break;
+        }
+    }
+    for s in 0..n {
+        sim.retire_completed(s, u64::MAX, rec);
+    }
+
+    let Engine {
+        shards,
+        outcomes,
+        mut run,
+        wait_sum,
+        mut fault_log,
+        ..
+    } = sim;
+    fault_log.sort_by_key(|&(at, shard, _)| (at, shard));
+    run.fault_log = fault_log.into_iter().map(|(at, _, k)| (at, k)).collect();
+    if run.completed > 0 {
+        run.mean_queue_wait = wait_sum as f64 / run.completed as f64;
+    }
+    run.shards = shards
+        .into_iter()
+        .map(|sh| {
+            let mut tally = sh.tally;
+            tally.label = sh.setup.label;
+            tally.in_flight = sh.slots.iter().map(|s| s.queue.len()).sum();
+            tally.latencies.sort_unstable();
+            tally
+        })
+        .collect();
+    let sum = |f: fn(&ShardStats) -> usize| run.shards.iter().map(f).sum::<usize>();
+    debug_assert!(run.shards.iter().all(ShardStats::conserved));
+    debug_assert_eq!(requests.len(), run.admitted + run.shed);
+    debug_assert_eq!(
+        run.admitted,
+        run.completed + run.failed + sum(|s| s.in_flight)
+    );
+    debug_assert_eq!(sum(|s| s.rebalanced_in), sum(|s| s.rebalanced_out));
+    (run, outcomes)
+}
+
+impl Engine<'_> {
+    /// Routes arrival `i`, then admits or sheds it on the chosen shard.
+    fn admit<R: Recorder>(&mut self, i: usize, req: &Request, rec: &mut R) {
+        let chosen = self.route(i, req.arrival, 0);
+        let depth = self.shards[chosen].depth_at(req.arrival);
+        rec.add(names::SERVE_REQUESTS, 1);
+        for &h in self.cfg.depth_hists {
+            rec.sample(h, depth as u64);
+        }
+        self.run.horizon = self.run.horizon.max(req.arrival);
+        self.shards[chosen].tally.routed += 1;
+        let (service, cold) = self.costed(chosen, i);
+        let sh = &mut self.shards[chosen];
+        let j = sh.argmin_free();
+        let start = req.arrival.max(sh.slots[j].free_at);
+        let deadline = req.deadline.unwrap_or(u64::MAX);
+        let finish = start.saturating_add(service);
+        let due = req.arrival.saturating_add(deadline);
+        let shed = match self.cfg.shed {
+            ShedPolicy::None => false,
+            ShedPolicy::Queue(cap) => depth >= cap,
+            ShedPolicy::Deadline => deadline != u64::MAX && finish > due,
+        };
+        if shed {
+            self.run.shed += 1;
+            sh.tally.shed += 1;
+            rec.add(names::SERVE_SHED, 1);
+            if matches!(self.cfg.shed, ShedPolicy::Deadline) {
+                rec.sample(names::HIST_SERVE_SHED_SLACK, finish - due);
+            }
+            return; // outcome stays Shed; the shard stays cold
+        }
+        self.run.admitted += 1;
+        rec.add(names::SERVE_ADMITTED, 1);
+        let job = Job {
+            idx: i,
+            arrival: req.arrival,
+            deadline,
+            len: service,
+            attempt_start: start,
+            end: finish,
+            first_start: None,
+            attempts: 0,
+        };
+        sh.place(j, job, req.arrival);
+        self.warm_up(chosen, i, cold);
+    }
+
+    /// The routing policy's pick for request `i` at `t` over fresh shard
+    /// views; `home` when there is no choice to make.
+    #[inline]
+    fn route(&mut self, i: usize, t: u64, home: usize) -> usize {
+        let Some(routing) = self.cfg.routing.as_mut().filter(|_| self.shards.len() > 1) else {
+            return home;
+        };
+        for (sh, view) in self.shards.iter_mut().zip(&mut self.views) {
+            *view = ShardView {
+                depth: sh.depth_at(t),
+                backlog: sh.slots.iter().map(|s| s.free_at.saturating_sub(t)).sum(),
+            };
+        }
+        let chosen = routing.route(self.templates[i], &self.views);
+        debug_assert!(chosen < self.shards.len(), "policy returned a valid shard");
+        chosen
+    }
+
+    /// Request `i`'s service time on shard `s`, and whether it is a cold
+    /// miss there (never, without routing): a cold miss pays the penalty.
+    #[inline]
+    fn costed(&self, s: usize, i: usize) -> (u64, bool) {
+        let cold = self.cfg.routing.is_some() && !self.shards[s].warm[self.templates[i]];
+        let penalty = if cold { self.cfg.cold_penalty } else { 0 };
+        (self.shards[s].setup.services[i] + penalty, cold)
+    }
+
+    /// Counts request `i`'s admission onto shard `s` as a cold miss or a
+    /// warm hit and marks its template warm there.
+    #[inline]
+    fn warm_up(&mut self, s: usize, i: usize, cold: bool) {
+        if self.cfg.routing.is_none() {
+            return;
+        }
+        if cold {
+            self.run.cold_misses += 1;
+            self.shards[s].warm[self.templates[i]] = true;
+        } else {
+            self.run.warm_hits += 1;
         }
     }
 
-    fn retire_completed<R: Recorder>(&mut self, now: u64, rec: &mut R, spans: bool) {
-        for v in 0..self.slots.len() {
-            while let Some(front) = self.slots[v].queue.front() {
+    fn retire_completed<R: Recorder>(&mut self, s: usize, now: u64, rec: &mut R) {
+        for v in 0..self.shards[s].slots.len() {
+            while let Some(front) = self.shards[s].slots[v].queue.front() {
                 if front.end > now {
                     break;
                 }
-                let job = self.slots[v].queue.pop_front().expect("checked");
-                self.complete(job, rec, spans);
+                let job = self.shards[s].slots[v].queue.pop_front().expect("checked");
+                self.complete(s, job, rec);
             }
         }
     }
 
-    fn complete<R: Recorder>(&mut self, job: Job, rec: &mut R, spans: bool) {
+    fn complete<R: Recorder>(&mut self, s: usize, job: Job, rec: &mut R) {
         let first = job.first_start.unwrap_or(job.attempt_start);
         let latency = job.end - job.arrival;
         let wait = first - job.arrival;
-        self.completed += 1;
-        self.busy += job.len;
+        self.run.completed += 1;
         self.wait_sum += wait;
-        self.horizon = self.horizon.max(job.end);
-        self.latencies.push(latency);
+        self.run.horizon = self.run.horizon.max(job.end);
+        let sh = &mut self.shards[s];
+        sh.tally.completed += 1;
+        sh.tally.busy_cycles += job.len;
+        sh.tally.latencies.push(latency);
         rec.sample(names::HIST_JOB_LATENCY, latency);
         rec.sample(names::HIST_QUEUE_WAIT, wait);
         if latency <= job.deadline {
-            self.in_slo += 1;
+            self.run.in_slo += 1;
         } else {
-            self.misses += 1;
+            self.run.deadline_misses += 1;
             rec.add(names::SERVE_DEADLINE_MISSES, 1);
         }
-        if spans {
-            let idx = job.idx;
-            rec.span(|| format!("job/{idx}"), first, job.end);
+        if self.cfg.record_spans {
+            let (root, idx) = (&sh.setup.span_root, job.idx);
+            rec.span(|| format!("{root}job/{idx}"), first, job.end);
         }
         self.outcomes[job.idx] = RequestOutcome::Done {
             start: first,
@@ -442,31 +760,35 @@ impl Sim {
         };
     }
 
-    fn fail(&mut self, job: Job, at: u64) {
-        self.failed += 1;
+    fn fail(&mut self, s: usize, job: Job, at: u64) {
+        self.run.failed += 1;
+        self.shards[s].tally.failed += 1;
         self.outcomes[job.idx] = RequestOutcome::Failed { at };
     }
 
-    /// Slots a fault's hardware scope maps onto: geometric kinds project
-    /// proportionally onto the slot strip (leases are ordered column/bank
-    /// intervals), anonymous capacity kinds round-robin, and a DRAM glitch
-    /// is channel-wide — it corrupts the active attempt on every slot.
-    fn victims(&self, kind: &FaultKind, fabric: &FabricConfig) -> Vec<usize> {
-        let n = self.slots.len();
+    /// Slots of shard `s` a fault's hardware scope maps onto: geometric
+    /// kinds project proportionally onto the slot strip (leases are ordered
+    /// column/bank intervals), anonymous capacity kinds round-robin, and a
+    /// DRAM glitch is channel-wide — it corrupts the active attempt on
+    /// every slot.
+    fn victims(&self, s: usize, kind: &FaultKind) -> Vec<usize> {
+        let sh = &self.shards[s];
+        let n = sh.slots.len();
         let clamp = |i: usize| i.min(n - 1);
         match kind {
-            FaultKind::PeRect { col0, .. } => vec![clamp(col0 * n / fabric.pe_cols.max(1))],
-            FaultKind::SpmBank { bank } => vec![clamp(bank * n / fabric.spm_banks.max(1))],
+            FaultKind::PeRect { col0, .. } => {
+                vec![clamp(col0 * n / sh.setup.fabric.pe_cols.max(1))]
+            }
+            FaultKind::SpmBank { bank } => vec![clamp(bank * n / sh.setup.fabric.spm_banks.max(1))],
             FaultKind::NocLane { lane } => vec![lane % n],
             FaultKind::DmaEngine { engine } => vec![engine % n],
             FaultKind::DramChannel => (0..n).collect(),
         }
     }
 
-    fn apply_fault<R: Recorder>(&mut self, ev: FaultEvent, p: &OpenLoopParams, rec: &mut R) {
-        let plan = p.faults.expect("fault event implies a plan");
-        self.faults_injected += 1;
-        self.fault_log.push((ev.at, ev.kind.name()));
+    fn apply_fault<R: Recorder>(&mut self, s: usize, ev: FaultEvent, rec: &mut R) {
+        self.shards[s].tally.faults_injected += 1;
+        self.fault_log.push((ev.at, s, ev.kind.name()));
         rec.add(names::FAULT_INJECTED, 1);
         rec.add(
             if ev.permanent {
@@ -479,163 +801,154 @@ impl Sim {
         rec.add(kind_counter(&ev.kind), 1);
         // Work that finished strictly before the fault commits first —
         // the runtime's commit-wins-ties event ordering.
-        self.retire_completed(ev.at, rec, p.record_spans);
+        self.retire_completed(s, ev.at, rec);
         let mut changed = false;
-        for v in self.victims(&ev.kind, p.fabric) {
-            changed |= self.disrupt(v, ev.at, &ev.kind, plan, rec, p.record_spans);
+        for v in self.victims(s, &ev.kind) {
+            changed |= self.disrupt(s, v, ev.at, &ev.kind, rec);
         }
-        if ev.permanent && self.quarantine.admit(&ev.kind, p.fabric) {
-            self.quarantined += 1;
+        let fabric = self.shards[s].setup.fabric;
+        if ev.permanent && self.shards[s].quarantine.admit(&ev.kind, &fabric) {
+            let sh = &mut self.shards[s];
+            sh.tally.quarantined += 1;
             rec.add(names::FAULT_QUARANTINED, 1);
-            let cap = self
+            // The carve geometry changed: every cached morph decision on
+            // this shard is stale, and routing must stop chasing it.
+            self.run.warm_evictions += sh.warm.iter().filter(|&&w| w).count();
+            sh.warm.fill(false);
+            let cap = sh
                 .requested
-                .min(self.quarantine.window(p.fabric).max_tenants())
+                .min(sh.quarantine.window(&fabric).max_tenants())
                 .max(1);
-            while self.slots.len() > cap {
-                self.evict_last(ev.at, &ev.kind, plan, rec, p.record_spans);
+            if let Some(routing) = self.cfg.routing.as_mut() {
+                routing.forget_shard(s);
+            }
+            while self.shards[s].slots.len() > cap {
+                self.evict_last(s, ev.at, &ev.kind, rec);
                 changed = true;
             }
         }
         if changed {
-            self.rebuild_unstarted(ev.at);
+            self.rebuild_unstarted(s, ev.at);
         }
     }
 
-    /// Interrupts the attempt in progress on slot `v` at `t`, if any:
-    /// bounded retry in place, then FIFO reflow of everything queued
-    /// behind it. Returns whether any schedule changed.
+    /// Charges the attempt of `job` in progress on shard `s` with the work
+    /// a fault at `t` discards. Returns whether the job is out of retries.
+    fn lose_attempt<R: Recorder>(
+        &mut self,
+        s: usize,
+        job: &mut Job,
+        t: u64,
+        kind: &FaultKind,
+        rec: &mut R,
+    ) -> bool {
+        let lost = t - job.attempt_start;
+        self.shards[s].tally.lost_cycles += lost;
+        rec.add(names::FAULT_LOST_CYCLES, lost);
+        if self.cfg.record_spans {
+            let (root, kn) = (&self.shards[s].setup.span_root, kind.name());
+            rec.span(|| format!("{root}fault/{kn}"), job.attempt_start, t);
+        }
+        if job.first_start.is_none() {
+            job.first_start = Some(job.attempt_start);
+        }
+        job.attempts += 1;
+        let failed = job.attempts > self.cfg.max_retries;
+        if !failed {
+            rec.add(names::FAULT_RETRIES, 1);
+        }
+        failed
+    }
+
+    /// Interrupts the attempt in progress on slot `v` of shard `s` at `t`,
+    /// if any: bounded retry in place, then FIFO reflow of everything
+    /// queued behind it. Returns whether any schedule changed.
     fn disrupt<R: Recorder>(
         &mut self,
+        s: usize,
         v: usize,
         t: u64,
         kind: &FaultKind,
-        plan: &FaultPlan,
         rec: &mut R,
-        spans: bool,
     ) -> bool {
-        let Some(k) = self.slots[v]
-            .queue
-            .iter()
-            .position(|j| j.attempt_start <= t && t < j.end)
-        else {
+        let queue = &mut self.shards[s].slots[v].queue;
+        let Some(k) = queue.iter().position(|j| j.attempt_start <= t && t < j.end) else {
             return false;
         };
         rec.add(names::FAULT_HITS, 1);
-        let failed;
-        {
-            let job = &mut self.slots[v].queue[k];
-            let lost = t - job.attempt_start;
-            rec.add(names::FAULT_LOST_CYCLES, lost);
-            if spans {
-                let kn = kind.name();
-                rec.span(|| format!("fault/{kn}"), job.attempt_start, t);
-            }
-            if job.first_start.is_none() {
-                job.first_start = Some(job.attempt_start);
-            }
-            job.attempts += 1;
-            failed = job.attempts > plan.max_retries;
-            if !failed {
-                rec.add(names::FAULT_RETRIES, 1);
-                job.attempt_start = t;
-                job.end = t + job.len;
-            }
-            self.lost += lost;
-        }
-        if failed {
-            let job = self.slots[v].queue.remove(k).expect("index in range");
-            self.fail(job, t);
-            let prev_end = if k == 0 {
-                t
-            } else {
-                self.slots[v].queue[k - 1].end
-            };
-            self.reflow(v, k, prev_end);
+        let mut job = queue.remove(k).expect("index in range");
+        if self.lose_attempt(s, &mut job, t, kind, rec) {
+            self.fail(s, job, t);
+            let queue = &self.shards[s].slots[v].queue;
+            let prev_end = if k == 0 { t } else { queue[k - 1].end };
+            self.reflow(s, v, k, prev_end);
         } else {
-            let prev_end = self.slots[v].queue[k].end;
-            self.reflow(v, k + 1, prev_end);
+            job.attempt_start = t;
+            job.end = t + job.len;
+            let prev_end = job.end;
+            self.shards[s].slots[v].queue.insert(k, job);
+            self.reflow(s, v, k + 1, prev_end);
         }
         true
     }
 
-    /// Recomputes the FIFO chain of slot `v` from queue position `from`,
-    /// following a shifted predecessor ending at `prev_end`.
-    fn reflow(&mut self, v: usize, from: usize, mut prev_end: u64) {
-        for job in self.slots[v].queue.iter_mut().skip(from) {
+    /// Recomputes the FIFO chain of slot `v` on shard `s` from queue
+    /// position `from`, following a shifted predecessor ending at
+    /// `prev_end`.
+    fn reflow(&mut self, s: usize, v: usize, from: usize, mut prev_end: u64) {
+        let slot = &mut self.shards[s].slots[v];
+        for job in slot.queue.iter_mut().skip(from) {
             let start = prev_end.max(job.arrival);
             job.attempt_start = start;
             job.end = start + job.len;
             prev_end = job.end;
         }
-        self.slots[v].free_at = self.slots[v]
-            .queue
-            .back()
-            .map(|j| j.end)
-            .unwrap_or(prev_end);
+        slot.free_at = slot.queue.back().map(|j| j.end).unwrap_or(prev_end);
     }
 
-    /// Removes the last slot (quarantine shrank the carve window) and
-    /// migrates its residents onto the surviving slots, restarting any
-    /// in-progress attempt.
-    fn evict_last<R: Recorder>(
-        &mut self,
-        t: u64,
-        kind: &FaultKind,
-        plan: &FaultPlan,
-        rec: &mut R,
-        spans: bool,
-    ) {
-        let mut slot = self.slots.pop().expect("capacity is at least one");
+    /// Removes shard `s`'s last slot (quarantine shrank the carve window)
+    /// and re-homes its residents, restarting any in-progress attempt:
+    /// each surviving job is re-routed through the policy, and a
+    /// cross-shard move is re-costed with the destination's service time
+    /// (plus the cold penalty if the destination never saw the template).
+    fn evict_last<R: Recorder>(&mut self, s: usize, t: u64, kind: &FaultKind, rec: &mut R) {
+        let mut slot = self.shards[s]
+            .slots
+            .pop()
+            .expect("capacity is at least one");
         while let Some(mut job) = slot.queue.pop_front() {
             rec.add(names::FAULT_EVICTIONS, 1);
-            if job.attempt_start <= t {
-                // The active attempt loses its work.
-                let lost = t - job.attempt_start;
-                self.lost += lost;
-                rec.add(names::FAULT_LOST_CYCLES, lost);
-                if spans {
-                    let kn = kind.name();
-                    rec.span(|| format!("fault/{kn}"), job.attempt_start, t);
-                }
-                if job.first_start.is_none() {
-                    job.first_start = Some(job.attempt_start);
-                }
-                job.attempts += 1;
-                if job.attempts > plan.max_retries {
-                    self.fail(job, t);
-                    continue;
-                }
-                rec.add(names::FAULT_RETRIES, 1);
+            // The active attempt loses its work.
+            if job.attempt_start <= t && self.lose_attempt(s, &mut job, t, kind, rec) {
+                self.fail(s, job, t);
+                continue;
             }
-            let j = self.argmin_free();
-            let start = t.max(self.slots[j].free_at).max(job.arrival);
-            job.attempt_start = start;
-            job.end = start + job.len;
-            self.slots[j].free_at = job.end;
-            self.slots[j].queue.push_back(job);
+            let dest = self.route(job.idx, t, s);
+            if dest != s {
+                self.run.rebalanced += 1;
+                self.shards[s].tally.rebalanced_out += 1;
+                self.shards[dest].tally.rebalanced_in += 1;
+                let cold;
+                (job.len, cold) = self.costed(dest, job.idx);
+                self.warm_up(dest, job.idx, cold);
+            }
+            let sh = &mut self.shards[dest];
+            sh.place(sh.argmin_free(), job, t);
         }
     }
 
-    /// Re-derives the unstarted-start heap after schedules shifted at `t`.
-    fn rebuild_unstarted(&mut self, t: u64) {
-        self.unstarted.clear();
-        for slot in &self.slots {
+    /// Re-derives shard `s`'s unstarted-start heap after schedules shifted
+    /// at `t`.
+    fn rebuild_unstarted(&mut self, s: usize, t: u64) {
+        let sh = &mut self.shards[s];
+        sh.unstarted.clear();
+        for slot in &sh.slots {
             for job in &slot.queue {
                 if job.first_start.is_none() && job.attempt_start > t {
-                    self.unstarted.push(Reverse(job.attempt_start));
+                    sh.unstarted.push(Reverse(job.attempt_start));
                 }
             }
         }
-    }
-}
-
-fn kind_counter(kind: &FaultKind) -> &'static str {
-    match kind {
-        FaultKind::PeRect { .. } => names::FAULT_INJECTED_PE,
-        FaultKind::SpmBank { .. } => names::FAULT_INJECTED_SPM,
-        FaultKind::NocLane { .. } => names::FAULT_INJECTED_NOC,
-        FaultKind::DmaEngine { .. } => names::FAULT_INJECTED_DMA,
-        FaultKind::DramChannel => names::FAULT_INJECTED_DRAM,
     }
 }
 
@@ -808,6 +1121,23 @@ mod tests {
         let (r2, _) = run_open_loop(&p, &reqs, &svc, &mut rec2);
         assert_eq!(r, r2);
         assert_eq!(rec.to_jsonl(), rec2.to_jsonl());
+    }
+
+    #[test]
+    fn shed_slack_saturates_near_the_end_of_time() {
+        let fabric = FabricConfig::mocha_quad();
+        let reqs = vec![req(u64::MAX - 10, Some(5))];
+        let mut rec = MemRecorder::new();
+        let (r, outs) = run_open_loop(
+            &params(&fabric, ShedPolicy::Deadline),
+            &reqs,
+            &[1_000],
+            &mut rec,
+        );
+        assert_eq!((r.offered, r.shed), (1, 1));
+        assert_eq!(outs, vec![RequestOutcome::Shed]);
+        let slack = rec.hist(names::HIST_SERVE_SHED_SLACK).expect("recorded");
+        assert_eq!(slack.max(), Some(5));
     }
 
     #[test]

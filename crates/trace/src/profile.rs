@@ -10,18 +10,10 @@ use crate::tree::{CriticalPath, LaneCycles, SpanTree};
 use crate::Stream;
 use mocha_energy::EnergyTable;
 use mocha_json::Value;
+use mocha_obs::nearest_rank;
 
 /// Marker key identifying a serialized profile (value: format version).
 pub const PROFILE_MARKER: &str = "mocha_trace_profile";
-
-/// Nearest-rank percentile of an ascending-sorted sample (0 when empty).
-fn nearest_rank(sorted: &[u64], p: u64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = (p * sorted.len() as u64).div_ceil(100).max(1);
-    sorted[(rank - 1) as usize]
-}
 
 /// Per-layer-group row of the profile.
 #[derive(Debug, Clone, PartialEq)]
@@ -269,9 +261,9 @@ impl Profile {
                                 ShardTail {
                                     shard,
                                     jobs: durations.len() as u64,
-                                    p50: nearest_rank(&durations, 50),
-                                    p95: nearest_rank(&durations, 95),
-                                    p99: nearest_rank(&durations, 99),
+                                    p50: nearest_rank(&durations, 50.0),
+                                    p95: nearest_rank(&durations, 95.0),
+                                    p99: nearest_rank(&durations, 99.0),
                                 }
                             })
                             .collect(),
