@@ -10,6 +10,17 @@ cargo fmt --all -- --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== one parallel engine (worker threads only through mocha-engine)"
+# Every host-parallel loop runs on mocha_engine::Engine, so `--threads` is
+# honoured everywhere. The perf binary may read the core count as a host
+# fact; nothing else spawns scoped threads or sizes itself from the host.
+if grep -rnE --include='*.rs' --exclude-dir=target \
+        'thread::scope|available_parallelism' crates/*/src \
+    | grep -v -e '^crates/engine/src/lib\.rs:' -e '^crates/bench/src/bin/perf/'; then
+    echo "thread::scope/available_parallelism outside crates/engine/src/lib.rs"
+    exit 1
+fi
+
 echo "== cargo build --release"
 cargo build --release --workspace
 

@@ -993,6 +993,29 @@ fn crlf_and_whitespace_lines_terminate_batches() {
     }
 }
 
+/// A replayed trace whose cycle counts a JSON number cannot carry exactly
+/// (near `u64::MAX`, where the queueing engine's cycle sums would overflow)
+/// is refused up front: exit 2, one stderr line naming the trace line, and
+/// no panic.
+#[test]
+fn trace_replay_rejects_cycles_beyond_exact_json_integers() {
+    let path = std::env::temp_dir().join("mocha_trace_huge_cycles_e2e.jsonl");
+    for line in [
+        r#"{"network":"tiny","arrival_cycle":18446744073709551000}"#,
+        r#"{"network":"tiny","arrival_cycle":5,"deadline_cycles":18446744073709551000}"#,
+    ] {
+        std::fs::write(&path, format!("{{\"network\":\"tiny\"}}\n{line}\n")).expect("write");
+        let out = mocha_sim(&["serve", "--open-loop", "--trace", path.to_str().unwrap()]);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{line}: stderr: {err}");
+        assert_eq!(err.lines().count(), 1, "{line}: stderr: {err}");
+        assert!(err.contains("trace line 2:"), "{line}: stderr: {err}");
+        assert!(!err.contains("panicked"), "{line}: stderr: {err}");
+        assert!(stdout(&out).is_empty(), "{line}");
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
 /// Bad `--shed-policy` and `--slo` values keep the one-line exit-2
 /// contract on both serve modes.
 #[test]

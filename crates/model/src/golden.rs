@@ -2,13 +2,36 @@
 //!
 //! The simplest possible direct implementation of each operator, used as the
 //! correctness oracle for every simulated dataflow: tiled, fused, parallel or
-//! compressed execution must reproduce these bytes exactly. Convolutions are
-//! parallelized over output channels with Rayon — each output channel is an
-//! independent reduction, so parallel and sequential results are identical.
+//! compressed execution must reproduce these bytes exactly. Convolutions (one
+//! task per output channel) and fc layers (one task per output) run on
+//! `mocha-engine`, which honours `--threads`: each task is an independent
+//! reduction, so parallel and sequential results are identical.
 
 use crate::gen::Workload;
 use crate::layer::{Layer, LayerKind, PoolKind};
 use crate::tensor::{requantize, Kernel, Tensor};
+use mocha_engine::Engine;
+use std::ops::Range;
+
+/// The shape checks every operator makes before it runs: `input` must match
+/// the layer's input shape and `kernel`, when given, its weight shape.
+#[track_caller]
+fn assert_shapes(layer: &Layer, input: &Tensor<i8>, kernel: Option<&Kernel>) {
+    assert_eq!(
+        input.shape(),
+        layer.input,
+        "{}: input shape mismatch",
+        layer.name
+    );
+    if let Some(kernel) = kernel {
+        assert_eq!(
+            Some(kernel.shape()),
+            layer.kernel_shape(),
+            "{}: kernel shape mismatch",
+            layer.name
+        );
+    }
+}
 
 /// Direct convolution of `input` with `kernel`, with stride/pad/ReLU and
 /// requantization taken from `layer`.
@@ -17,66 +40,74 @@ use crate::tensor::{requantize, Kernel, Tensor};
 /// Panics if `layer` is not a conv layer or shapes are inconsistent.
 pub fn conv(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel) -> Tensor<i8> {
     let LayerKind::Conv {
-        out_c,
         k,
         stride,
         pad,
         relu,
         groups,
+        ..
     } = layer.kind
     else {
         panic!("{}: not a conv layer", layer.name);
     };
-    assert_eq!(
-        input.shape(),
-        layer.input,
-        "{}: input shape mismatch",
-        layer.name
-    );
-    assert_eq!(
-        Some(kernel.shape()),
-        layer.kernel_shape(),
-        "{}: kernel shape mismatch",
-        layer.name
-    );
+    assert_shapes(layer, input, Some(kernel));
+    direct(layer, input, kernel, (k, stride, pad), groups, relu)
+}
 
+/// The taps `[lo, hi)` of a `k`-wide window at output coordinate `o` whose
+/// input position `o * stride + t - pad` lies inside `[0, extent)`, and the
+/// input position of tap `lo`. A window wholly in padding yields an empty
+/// range, with the position clamped to `extent` so slicing stays in bounds.
+fn taps(o: usize, stride: usize, pad: usize, k: usize, extent: usize) -> (Range<usize>, usize) {
+    let base = o * stride;
+    let lo = pad.saturating_sub(base).min(k);
+    let hi = (extent + pad).saturating_sub(base).clamp(lo, k);
+    (lo..hi, (base + lo).saturating_sub(pad).min(extent))
+}
+
+/// `i32` dot product of two equally long `i8` slices.
+fn dot(a: &[i8], b: &[i8]) -> i32 {
+    a.iter().zip(b).map(|(&a, &b)| a as i32 * b as i32).sum()
+}
+
+/// Direct grouped convolution shared by [`conv`] and [`dwconv`] (a depthwise
+/// layer is the one-channel-per-group case). Each output channel reduces its
+/// group's input channels in `(ic, ky, kx)` order over only the in-bounds
+/// taps, so no tap pays a padding check; output channels write disjoint
+/// planes, one engine task each.
+fn direct(
+    layer: &Layer,
+    input: &Tensor<i8>,
+    kernel: &Kernel,
+    (k, stride, pad): (usize, usize, usize),
+    groups: usize,
+    relu: bool,
+) -> Tensor<i8> {
     let out_shape = layer.output();
     let in_shape = input.shape();
-    let shift = layer.requant_shift;
-    let plane = out_shape.plane();
-
     // Each output channel reduces over its group's input-channel slice;
     // groups == 1 degenerates to the familiar all-channel reduction.
     let group_in_c = in_shape.c / groups;
-    let group_out_c = out_c / groups;
+    let group_out_c = out_shape.c / groups;
 
     let mut out = Tensor::zeros(out_shape);
-    // Each output channel writes a disjoint plane: embarrassingly parallel.
-    mocha_par::par_chunks_mut(out.data_mut(), plane, |oc, out_plane| {
-        debug_assert!(oc < out_c);
+    let planes = out.data_mut().chunks_mut(out_shape.plane()).collect();
+    Engine::configured().map_vec(planes, |oc, out_plane: &mut [i8]| {
         let ic_base = (oc / group_out_c) * group_in_c;
+        let filter = kernel.filter(oc);
         for oy in 0..out_shape.h {
+            let (kys, iy0) = taps(oy, stride, pad, k, in_shape.h);
             for ox in 0..out_shape.w {
+                let (kxs, ix0) = taps(ox, stride, pad, k, in_shape.w);
                 let mut acc: i32 = 0;
                 for ic in 0..group_in_c {
-                    for ky in 0..k {
-                        // Signed arithmetic for the padded coordinate.
-                        let iy = (oy * stride + ky) as isize - pad as isize;
-                        if iy < 0 || iy as usize >= in_shape.h {
-                            continue;
-                        }
-                        for kx in 0..k {
-                            let ix = (ox * stride + kx) as isize - pad as isize;
-                            if ix < 0 || ix as usize >= in_shape.w {
-                                continue;
-                            }
-                            let a = input.get(ic_base + ic, iy as usize, ix as usize) as i32;
-                            let w = kernel.get(oc, ic, ky, kx) as i32;
-                            acc += a * w;
-                        }
+                    let channel = input.channel(ic_base + ic);
+                    for (iy, ky) in (iy0..).zip(kys.clone()) {
+                        let row = &channel[iy * in_shape.w + ix0..][..kxs.len()];
+                        acc += dot(row, &filter[(ic * k + ky) * k..][kxs.clone()]);
                     }
                 }
-                out_plane[oy * out_shape.w + ox] = requantize(acc, shift, relu);
+                out_plane[oy * out_shape.w + ox] = requantize(acc, layer.requant_shift, relu);
             }
         }
     });
@@ -89,26 +120,15 @@ pub fn pointwise(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel) -> Tensor<i
     let LayerKind::Pointwise { out_c, relu } = layer.kind else {
         panic!("{}: not a pointwise layer", layer.name);
     };
-    assert_eq!(
-        input.shape(),
-        layer.input,
-        "{}: input shape mismatch",
-        layer.name
-    );
-    assert_eq!(
-        Some(kernel.shape()),
-        layer.kernel_shape(),
-        "{}: kernel shape mismatch",
-        layer.name
-    );
+    assert_shapes(layer, input, Some(kernel));
 
     let out_shape = layer.output();
     let in_shape = input.shape();
     let shift = layer.requant_shift;
-    let plane = out_shape.plane();
 
     let mut out = Tensor::zeros(out_shape);
-    mocha_par::par_chunks_mut(out.data_mut(), plane, |oc, out_plane| {
+    let planes = out.data_mut().chunks_mut(out_shape.plane()).collect();
+    Engine::configured().map_vec(planes, |oc, out_plane: &mut [i8]| {
         debug_assert!(oc < out_c);
         for oy in 0..out_shape.h {
             for ox in 0..out_shape.w {
@@ -128,12 +148,7 @@ pub fn pool(layer: &Layer, input: &Tensor<i8>) -> Tensor<i8> {
     let LayerKind::Pool { kind, k, stride } = layer.kind else {
         panic!("{}: not a pool layer", layer.name);
     };
-    assert_eq!(
-        input.shape(),
-        layer.input,
-        "{}: input shape mismatch",
-        layer.name
-    );
+    assert_shapes(layer, input, None);
     let out_shape = layer.output();
     let mut out = Tensor::zeros(out_shape);
     for c in 0..out_shape.c {
@@ -186,24 +201,10 @@ pub fn fc(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel) -> Tensor<i8> {
     let LayerKind::Fc { out, relu } = layer.kind else {
         panic!("{}: not an fc layer", layer.name);
     };
-    assert_eq!(
-        input.shape(),
-        layer.input,
-        "{}: input shape mismatch",
-        layer.name
-    );
-    assert_eq!(
-        Some(kernel.shape()),
-        layer.kernel_shape(),
-        "{}: kernel shape mismatch",
-        layer.name
-    );
-    let flat = input.data();
+    assert_shapes(layer, input, Some(kernel));
     let shift = layer.requant_shift;
-    let data: Vec<i8> = mocha_par::par_map_range(out, |o| {
-        let w = kernel.filter(o);
-        let acc: i32 = flat.iter().zip(w).map(|(&a, &b)| a as i32 * b as i32).sum();
-        requantize(acc, shift, relu)
+    let data: Vec<i8> = Engine::configured().map_range(out, |o| {
+        requantize(dot(input.data(), kernel.filter(o)), shift, relu)
     });
     Tensor::from_vec(layer.output(), data)
 }
@@ -220,48 +221,15 @@ pub fn dwconv(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel) -> Tensor<i8> 
     else {
         panic!("{}: not a dwconv layer", layer.name);
     };
-    assert_eq!(
-        input.shape(),
-        layer.input,
-        "{}: input shape mismatch",
-        layer.name
-    );
-    assert_eq!(
-        Some(kernel.shape()),
-        layer.kernel_shape(),
-        "{}: kernel shape mismatch",
-        layer.name
-    );
-
-    let out_shape = layer.output();
-    let in_shape = input.shape();
-    let shift = layer.requant_shift;
-    let plane = out_shape.plane();
-
-    let mut out = Tensor::zeros(out_shape);
-    mocha_par::par_chunks_mut(out.data_mut(), plane, |c, out_plane| {
-        for oy in 0..out_shape.h {
-            for ox in 0..out_shape.w {
-                let mut acc: i32 = 0;
-                for ky in 0..k {
-                    let iy = (oy * stride + ky) as isize - pad as isize;
-                    if iy < 0 || iy as usize >= in_shape.h {
-                        continue;
-                    }
-                    for kx in 0..k {
-                        let ix = (ox * stride + kx) as isize - pad as isize;
-                        if ix < 0 || ix as usize >= in_shape.w {
-                            continue;
-                        }
-                        acc += input.get(c, iy as usize, ix as usize) as i32
-                            * kernel.get(c, 0, ky, kx) as i32;
-                    }
-                }
-                out_plane[oy * out_shape.w + ox] = requantize(acc, shift, relu);
-            }
-        }
-    });
-    out
+    assert_shapes(layer, input, Some(kernel));
+    direct(
+        layer,
+        input,
+        kernel,
+        (k, stride, pad),
+        input.shape().c,
+        relu,
+    )
 }
 
 /// Executes one layer against its input, dispatching on the operator.
@@ -297,6 +265,165 @@ mod tests {
     use crate::gen::{self, SparsityProfile, Workload};
     use crate::network;
     use crate::shape::{KernelShape, TensorShape};
+
+    /// The original per-tap convolution loop nest, bounds-checking every
+    /// tap against the padding; kept as the differential oracle for the
+    /// in-bounds-tap loops of [`direct`].
+    fn conv_scalar(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel) -> Tensor<i8> {
+        let LayerKind::Conv {
+            out_c,
+            k,
+            stride,
+            pad,
+            relu,
+            groups,
+        } = layer.kind
+        else {
+            panic!("{}: not a conv layer", layer.name);
+        };
+        let out_shape = layer.output();
+        let in_shape = input.shape();
+        let group_in_c = in_shape.c / groups;
+        let group_out_c = out_c / groups;
+        let mut out = Tensor::zeros(out_shape);
+        for oc in 0..out_c {
+            let ic_base = (oc / group_out_c) * group_in_c;
+            for oy in 0..out_shape.h {
+                for ox in 0..out_shape.w {
+                    let mut acc: i32 = 0;
+                    for ic in 0..group_in_c {
+                        for ky in 0..k {
+                            let iy = (oy * stride + ky) as isize - pad as isize;
+                            if iy < 0 || iy as usize >= in_shape.h {
+                                continue;
+                            }
+                            for kx in 0..k {
+                                let ix = (ox * stride + kx) as isize - pad as isize;
+                                if ix < 0 || ix as usize >= in_shape.w {
+                                    continue;
+                                }
+                                let a = input.get(ic_base + ic, iy as usize, ix as usize) as i32;
+                                let w = kernel.get(oc, ic, ky, kx) as i32;
+                                acc += a * w;
+                            }
+                        }
+                    }
+                    out.set(oc, oy, ox, requantize(acc, layer.requant_shift, relu));
+                }
+            }
+        }
+        out
+    }
+
+    /// The original per-tap depthwise loop nest; the differential oracle
+    /// for [`dwconv`].
+    fn dwconv_scalar(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel) -> Tensor<i8> {
+        let LayerKind::DwConv {
+            k,
+            stride,
+            pad,
+            relu,
+        } = layer.kind
+        else {
+            panic!("{}: not a dwconv layer", layer.name);
+        };
+        let out_shape = layer.output();
+        let in_shape = input.shape();
+        let mut out = Tensor::zeros(out_shape);
+        for c in 0..out_shape.c {
+            for oy in 0..out_shape.h {
+                for ox in 0..out_shape.w {
+                    let mut acc: i32 = 0;
+                    for ky in 0..k {
+                        let iy = (oy * stride + ky) as isize - pad as isize;
+                        if iy < 0 || iy as usize >= in_shape.h {
+                            continue;
+                        }
+                        for kx in 0..k {
+                            let ix = (ox * stride + kx) as isize - pad as isize;
+                            if ix < 0 || ix as usize >= in_shape.w {
+                                continue;
+                            }
+                            acc += input.get(c, iy as usize, ix as usize) as i32
+                                * kernel.get(c, 0, ky, kx) as i32;
+                        }
+                    }
+                    out.set(c, oy, ox, requantize(acc, layer.requant_shift, relu));
+                }
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn in_bounds_tap_loops_match_scalar_oracle() {
+        // Seeded sweep over every window geometry the tap-range helper has
+        // to get right: strides 1-4, pads past k (whole windows in padding,
+        // empty tap ranges), inputs narrower than k, h != w, grouped and
+        // depthwise channel maps, ReLU both ways and shifts 0-8.
+        let mut rng = gen::rng(0x601d);
+        let (mut small, mut padded) = (0, 0);
+        for k in [1usize, 2, 3, 5, 11] {
+            for stride in 1..=4 {
+                for pad in 0..=k + 1 {
+                    // The smallest extent the padded window still fits.
+                    let min_dim = k.saturating_sub(2 * pad).max(1);
+                    for relu in [false, true] {
+                        let h = rng.gen_range(min_dim..=k + 6);
+                        let w = if h == min_dim { h + 1 } else { h - 1 };
+                        small += usize::from(h < k || w < k);
+                        padded += usize::from(pad >= k);
+                        let requant_shift = rng.gen_range(0..=8u32);
+                        for groups in [1, 2, 4] {
+                            let in_c = groups * rng.gen_range(1..=2usize);
+                            let out_c = groups * rng.gen_range(1..=2usize);
+                            let l = Layer {
+                                name: format!("conv k{k} s{stride} p{pad} g{groups}"),
+                                kind: LayerKind::Conv {
+                                    out_c,
+                                    k,
+                                    stride,
+                                    pad,
+                                    relu,
+                                    groups,
+                                },
+                                input: TensorShape::new(in_c, h, w),
+                                requant_shift,
+                            };
+                            let input = gen::activations(l.input, 0.3, &mut rng);
+                            let kernel = gen::kernel(l.kernel_shape().unwrap(), 0.2, &mut rng);
+                            assert_eq!(
+                                conv(&l, &input, &kernel),
+                                conv_scalar(&l, &input, &kernel),
+                                "{} {h}x{w} relu={relu} shift={requant_shift}",
+                                l.name
+                            );
+                        }
+                        let l = Layer {
+                            name: format!("dw k{k} s{stride} p{pad}"),
+                            kind: LayerKind::DwConv {
+                                k,
+                                stride,
+                                pad,
+                                relu,
+                            },
+                            input: TensorShape::new(rng.gen_range(1..=4usize), h, w),
+                            requant_shift,
+                        };
+                        let input = gen::activations(l.input, 0.3, &mut rng);
+                        let kernel = gen::kernel(l.kernel_shape().unwrap(), 0.2, &mut rng);
+                        assert_eq!(
+                            dwconv(&l, &input, &kernel),
+                            dwconv_scalar(&l, &input, &kernel),
+                            "{} {h}x{w} relu={relu} shift={requant_shift}",
+                            l.name
+                        );
+                    }
+                }
+            }
+        }
+        assert!(small > 0 && padded > 0, "small={small} padded={padded}");
+    }
 
     fn conv_layer(
         input: TensorShape,

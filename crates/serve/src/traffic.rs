@@ -189,9 +189,16 @@ pub fn to_jsonl(requests: &[Request]) -> String {
     out
 }
 
+/// The largest integer a JSON number carries exactly. Larger cycle counts
+/// reach [`Request::from_json`] already rounded (or saturated to
+/// `u64::MAX`, the engine's "no SLO" sentinel), and near `u64::MAX` they
+/// overflow the queueing engine's cycle arithmetic.
+const MAX_TRACE_CYCLE: u64 = 1 << 53;
+
 /// Parses a JSON-lines trace. Blank lines are skipped, every spec is
-/// validated, and the result is stably sorted by arrival so hand-edited
-/// traces replay cleanly. Errors carry 1-based line numbers.
+/// validated, arrival and deadline cycles above 2^53 are rejected, and the
+/// result is stably sorted by arrival so hand-edited traces replay cleanly.
+/// Errors carry 1-based line numbers.
 pub fn from_jsonl(text: &str) -> Result<Vec<Request>, String> {
     let mut out = Vec::new();
     for (n, line) in text.lines().enumerate() {
@@ -203,6 +210,17 @@ pub fn from_jsonl(text: &str) -> Result<Vec<Request>, String> {
         req.spec
             .validate()
             .map_err(|e| format!("trace line {}: {e}", n + 1))?;
+        for (field, cycles) in [
+            ("arrival_cycle", Some(req.arrival)),
+            ("deadline_cycles", req.deadline),
+        ] {
+            if cycles.is_some_and(|c| c > MAX_TRACE_CYCLE) {
+                return Err(format!(
+                    "trace line {}: {field} exceeds 2^53, the largest exact JSON integer",
+                    n + 1
+                ));
+            }
+        }
         out.push(req);
     }
     out.sort_by_key(|r| r.arrival);
@@ -308,5 +326,22 @@ mod tests {
         assert!(err.starts_with("trace line 2:"), "{err}");
         let err = from_jsonl("{\"network\":\"nope\"}\n").unwrap_err();
         assert!(err.starts_with("trace line 1:"), "{err}");
+    }
+
+    #[test]
+    fn cycles_beyond_exact_json_integers_are_rejected() {
+        let line = |field: &str, v: &str| format!("{{\"network\":\"tiny\",\"{field}\":{v}}}\n");
+        let max = MAX_TRACE_CYCLE.to_string();
+        for field in ["arrival_cycle", "deadline_cycles"] {
+            // 2^53 itself is exact and replays; anything the parser had to
+            // round or saturate is refused with the line number.
+            assert!(from_jsonl(&line(field, &max)).is_ok(), "{field} = 2^53");
+            for v in ["9007199254740994", "18446744073709551000", "1e300"] {
+                let text = format!("\n{}", line(field, v));
+                let err = from_jsonl(&text).unwrap_err();
+                assert!(err.starts_with("trace line 2: "), "{field}={v}: {err}");
+                assert!(err.contains(field), "{field}={v}: {err}");
+            }
+        }
     }
 }
