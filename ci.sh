@@ -210,6 +210,21 @@ for t in 2 8; do
     done
 done
 
+echo "== one open-loop front end (serve --open-loop --fleet == fleet --open-loop)"
+# Both entry points run the same open-loop path in fleet mode, so the
+# matrix's fleet open-loop row must replay byte-for-byte through `serve`.
+cargo run --release -q -p mocha-cli --bin mocha-sim -- \
+    serve --open-loop --fleet preset=quad/preset=mocha --route locality \
+    --requests 2000 --tenants 100 --load 3.0 --seed 7 --slo 2000000 \
+    --faults rate=0.5,seed=9 --cold-penalty 20000 --json --threads 1 \
+    --obs "$obs_tmp/serve.openfleet.jsonl" > "$obs_tmp/serve.openfleet.report"
+cmp "$obs_tmp/mat1.openfleet.report" "$obs_tmp/serve.openfleet.report" || {
+    echo "serve --open-loop --fleet report differs from fleet --open-loop"; exit 1
+}
+cmp "$obs_tmp/mat1.openfleet.jsonl" "$obs_tmp/serve.openfleet.jsonl" || {
+    echo "serve --open-loop --fleet obs stream differs from fleet --open-loop"; exit 1
+}
+
 echo "== cache differential (cache-on replays cache-off byte-for-byte)"
 # Reports, tables and obs streams must be unchanged by the cache; the only
 # permitted stream delta is the cache.* counter lines themselves.

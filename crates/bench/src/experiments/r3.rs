@@ -14,10 +14,10 @@
 
 use crate::table::{f, Table};
 use mocha::engine::Engine;
+use mocha::fleet::FleetSpec;
 use mocha::obs::{names, WindowSpec};
 use mocha::serve::{
-    run_open_loop, traffic, windows_from_open_loop, Calibration, OpenLoopParams, OpenLoopReport,
-    ShedPolicy,
+    run_open_loop, traffic, windows_from_open_loop, OpenLoopParams, OpenLoopReport, ShedPolicy,
 };
 use mocha_runtime::{JobSpec, Mix, Priority};
 
@@ -56,13 +56,11 @@ pub fn run(cfg: &ExpConfig) -> String {
         .collect();
     // With `cfg.cache` the calibration shares one decision cache across
     // templates; measured cycles (and thus the whole table) are identical.
-    let cal = if cfg.cache {
-        let mut cache = mocha::core::DecisionCache::new();
-        Calibration::measure_cached(&fabric, slots, &specs, Engine::new(cfg.threads), &mut cache)
-    } else {
-        Calibration::measure(&fabric, slots, &specs, Engine::new(cfg.threads))
-    }
-    .expect("mix templates validate");
+    let mut cache = cfg.cache.then(mocha::core::DecisionCache::new);
+    let cal = FleetSpec::single(fabric)
+        .calibrate(slots, &specs, Engine::new(cfg.threads), cache.as_mut())
+        .expect("mix templates validate")
+        .remove(0);
     let slo = 4 * cal.mean_service();
 
     let mut t = Table::new(

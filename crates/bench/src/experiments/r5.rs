@@ -61,29 +61,14 @@ pub fn run(cfg: &ExpConfig) -> String {
         })
         .collect();
     let mut cache = cfg.cache.then(mocha::core::DecisionCache::new);
-    let mut cals: Vec<(mocha::fabric::FabricConfig, Calibration)> = Vec::new();
-    for shard in fleet.shards() {
-        if cals.iter().any(|(fab, _)| *fab == shard.fabric) {
-            continue;
-        }
-        let cal = match cache.as_mut() {
-            Some(c) => Calibration::measure_cached(
-                &shard.fabric,
-                slots,
-                &specs,
-                Engine::new(cfg.threads),
-                c,
-            ),
-            None => Calibration::measure(&shard.fabric, slots, &specs, Engine::new(cfg.threads)),
-        }
+    let cals = fleet
+        .calibrate(slots, &specs, Engine::new(cfg.threads), cache.as_mut())
         .expect("mix templates validate");
-        cals.push((shard.fabric, cal));
-    }
     // SLO and cold penalty scale with the *slowest* geometry's calibrated
     // mean, so they track the cost model instead of being magic numbers.
     let slowest = cals
         .iter()
-        .map(|(_, c)| c.mean_service())
+        .map(Calibration::mean_service)
         .max()
         .expect("fleet is non-empty");
     let slo = 4 * slowest;
@@ -97,17 +82,9 @@ pub fn run(cfg: &ExpConfig) -> String {
         mix,
         slo: Some(slo),
     });
-    let services: Vec<Vec<u64>> = fleet
-        .shards()
+    let services: Vec<Vec<u64>> = cals
         .iter()
-        .map(|sh| {
-            let cal = &cals
-                .iter()
-                .find(|(fab, _)| *fab == sh.fabric)
-                .expect("calibrated above")
-                .1;
-            trace.iter().map(|r| cal.service(&r.spec)).collect()
-        })
+        .map(|cal| trace.iter().map(|r| cal.service(&r.spec)).collect())
         .collect();
 
     let mut t = Table::new(

@@ -339,14 +339,12 @@ pub fn simulate(args: &Args) -> i32 {
     let mut sim = Simulator::new(acc);
     sim.energy = load_energy(args);
     sim.verify = !args.flag("no-verify");
-    // With `--obs` the run is recorded and the event stream exported as
-    // JSON lines (a file, or stdout with `-` — the report then moves to
-    // stderr so the stream stays clean for piping into `mocha-sim trace`).
-    let obs_path = args.options.get("obs").cloned();
+    // With `--obs` the run is recorded and `emit` exports the event stream.
     let mut rec = mocha::obs::MemRecorder::new();
-    let run = match &obs_path {
-        None => sim.run(&workload),
-        Some(_) => sim.run_with(&workload, &mut rec),
+    let run = if args.flag("obs") {
+        sim.run_with(&workload, &mut rec)
+    } else {
+        sim.run(&workload)
     };
     let table = sim.energy;
     let report = run.report(&table);
@@ -443,18 +441,27 @@ pub fn simulate(args: &Args) -> i32 {
         }
     }
 
-    match obs_path.as_deref() {
-        None => print!("{out}"),
+    emit(args, &out, &rec)
+}
+
+/// Prints a command's report and, with `--obs`, exports the recorded event
+/// stream as JSON lines: to a file (the report stays on stdout), or with
+/// `-` to stdout — the report then moves to stderr so the stream stays
+/// clean for piping into `mocha-sim trace`. Returns the exit code.
+pub(crate) fn emit(args: &Args, report: &str, rec: &mocha::obs::MemRecorder) -> i32 {
+    let obs_path = args.options.get("obs");
+    match obs_path.map(String::as_str) {
+        None => print!("{report}"),
         Some("-") => {
             print!("{}", rec.to_jsonl());
-            eprint!("{out}");
+            eprint!("{report}");
         }
         Some(path) => {
             if let Err(e) = std::fs::write(path, rec.to_jsonl()) {
                 eprintln!("cannot write {path:?}: {e}");
                 return 2;
             }
-            print!("{out}");
+            print!("{report}");
         }
     }
     0

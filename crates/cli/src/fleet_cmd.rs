@@ -1,13 +1,13 @@
-//! The fleet front-end: `mocha-sim fleet` and the `serve --open-loop
-//! --fleet` delegation target.
+//! The fleet front-end: `mocha-sim fleet`.
 //!
 //! `fleet` shards work across N simulated fabric instances of differing
 //! geometry behind one deterministic router. The default (batch) mode is
 //! the fleet twin of `runtime`: a seeded closed-loop trace routed over the
 //! fleet and executed on each shard's cycle-accurate scheduler. With
-//! `--open-loop` it becomes the fleet twin of `serve --open-loop` — the
-//! engine behind experiment R5 — adding per-shard fault domains,
-//! quarantine-triggered re-balancing, and template-warmth cold penalties.
+//! `--open-loop` it runs the open-loop front end of [`crate::serve`] in
+//! fleet mode — the engine behind experiment R5 — adding per-shard fault
+//! domains, quarantine-triggered re-balancing, and template-warmth cold
+//! penalties.
 //!
 //! Both modes are byte-identical at any `--threads` and with the decision
 //! cache on or off; `--fleet` / `--route` parse errors are one line on
@@ -16,18 +16,14 @@
 use crate::args::Args;
 use crate::commands;
 use crate::config;
-use mocha::engine::Engine;
-use mocha::fleet::{
-    run_fleet, run_fleet_open_loop, FleetConfig, FleetOpenLoopParams, FleetSpec, RouteKind,
-};
+use mocha::fleet::{run_fleet, FleetConfig, FleetSpec, RouteKind};
 use mocha::obs::{MemRecorder, NoopRecorder};
-use mocha::runtime::{self, DecisionCache, JobSpec, LeasePolicy, Mix, TrafficConfig};
-use mocha::serve::{traffic, windows_from_open_loop, Calibration, ShedPolicy};
+use mocha::runtime::{self, LeasePolicy};
 use mocha_json::ToJson;
 
 /// Parses `--fleet SPEC`, defaulting to a fleet of one quad fabric so
 /// `fleet` without options is the exact off-switch for `runtime`.
-fn fleet_spec(args: &Args) -> Result<FleetSpec, String> {
+pub(crate) fn fleet_spec(args: &Args) -> Result<FleetSpec, String> {
     match args.options.get("fleet") {
         None => Ok(FleetSpec::single(mocha::fabric::FabricConfig::mocha_quad())),
         Some(spec) => FleetSpec::parse(spec),
@@ -35,7 +31,7 @@ fn fleet_spec(args: &Args) -> Result<FleetSpec, String> {
 }
 
 /// Parses `--route POLICY` (default round-robin — the stateless baseline).
-fn route_kind(args: &Args) -> Result<RouteKind, String> {
+pub(crate) fn route_kind(args: &Args) -> Result<RouteKind, String> {
     match args.options.get("route") {
         None => Ok(RouteKind::RoundRobin),
         Some(s) => RouteKind::parse(s),
@@ -45,7 +41,7 @@ fn route_kind(args: &Args) -> Result<RouteKind, String> {
 /// `fleet` subcommand.
 pub fn fleet(args: &Args) -> i32 {
     if args.flag("open-loop") {
-        return open_loop(args);
+        return crate::serve::open_loop(args, true);
     }
     if let Err(code) = commands::strict(
         args,
@@ -70,52 +66,28 @@ pub fn fleet(args: &Args) -> i32 {
     ) {
         return code;
     }
-    let fleet = match fleet_spec(args) {
-        Ok(f) => f,
+    match batch(args) {
+        Ok((out, rec)) => commands::emit(args, &out, &rec),
         Err(e) => {
             eprintln!("{e}");
-            return 2;
+            2
         }
-    };
-    let route = match route_kind(args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
+    }
+}
+
+/// The batch run behind `fleet`: its report text and recorder.
+fn batch(args: &Args) -> Result<(String, MemRecorder), String> {
+    let fleet = fleet_spec(args)?;
+    let route = route_kind(args)?;
     let policy_name = args.opt("policy", "adaptive");
-    let Some(policy) = LeasePolicy::parse(&policy_name) else {
-        eprintln!("unknown policy {policy_name:?} (adaptive|static)");
-        return 2;
-    };
+    let policy = LeasePolicy::parse(&policy_name)
+        .ok_or_else(|| format!("unknown policy {policy_name:?} (adaptive|static)"))?;
     let max_tenants = args.opt_u64("max-tenants", 4) as usize;
     if max_tenants == 0 {
-        eprintln!("--max-tenants must be at least 1");
-        return 2;
+        return Err("--max-tenants must be at least 1".into());
     }
-    let faults = match config::fault_plan(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let mix_name = args.opt("mix", "quick");
-    let Some(mix) = Mix::parse(&mix_name) else {
-        eprintln!("unknown mix {mix_name:?} (quick|full)");
-        return 2;
-    };
-    let traffic = TrafficConfig {
-        jobs: args.opt_u64("jobs", 8) as usize,
-        load: args.opt_f64("load", 2.0),
-        seed: args.opt_u64("seed", 42),
-        mix,
-    };
-    if traffic.load <= 0.0 {
-        eprintln!("--load must be positive");
-        return 2;
-    }
+    let faults = config::fault_plan(args)?;
+    let traffic = config::traffic(args)?;
     let cfg = FleetConfig {
         fleet,
         route,
@@ -128,11 +100,11 @@ pub fn fleet(args: &Args) -> i32 {
         cache: args.flag("cache"),
     };
     let subs = runtime::generate(&traffic);
-    let obs_path = args.options.get("obs").cloned();
     let mut rec = MemRecorder::new();
-    let report = match &obs_path {
-        None => run_fleet(&cfg, &subs, &mut NoopRecorder),
-        Some(_) => run_fleet(&cfg, &subs, &mut rec),
+    let report = if args.flag("obs") {
+        run_fleet(&cfg, &subs, &mut rec)
+    } else {
+        run_fleet(&cfg, &subs, &mut NoopRecorder)
     };
 
     use std::fmt::Write as _;
@@ -144,7 +116,7 @@ pub fn fleet(args: &Args) -> i32 {
             out,
             "{} jobs ({} mix, load {:.2}, seed {}) over {} shard(s), route {}",
             traffic.jobs,
-            mix.name(),
+            traffic.mix.name(),
             traffic.load,
             traffic.seed,
             report.shards.len(),
@@ -186,304 +158,5 @@ pub fn fleet(args: &Args) -> i32 {
         );
     }
 
-    match obs_path.as_deref() {
-        None => print!("{out}"),
-        // `--obs -`: the event stream owns stdout; the report moves to
-        // stderr (same contract as `runtime --obs -`).
-        Some("-") => {
-            print!("{}", rec.to_jsonl());
-            eprint!("{out}");
-        }
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rec.to_jsonl()) {
-                eprintln!("cannot write {path:?}: {e}");
-                return 2;
-            }
-            print!("{out}");
-        }
-    }
-    0
-}
-
-/// `fleet --open-loop` (also reached from `serve --open-loop --fleet`):
-/// the fleet open-loop queueing simulation behind experiment R5.
-pub fn open_loop(args: &Args) -> i32 {
-    if let Err(code) = commands::strict(
-        args,
-        0,
-        &[
-            "open-loop",
-            "fleet",
-            "route",
-            "route-seed",
-            "cold-penalty",
-            "requests",
-            "tenants",
-            "load",
-            "seed",
-            "mix",
-            "slo",
-            "shed-policy",
-            "trace",
-            "json",
-            "obs",
-            "max-tenants",
-            "threads",
-            "faults",
-            "cache",
-            "metrics-window",
-            "metrics",
-        ],
-    ) {
-        return code;
-    }
-    let metrics = match crate::serve::metrics_flags(args) {
-        Ok(m) => m,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let fleet = match fleet_spec(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let route = match route_kind(args) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let slots = args.opt_u64("max-tenants", 4) as usize;
-    if slots == 0 {
-        eprintln!("--max-tenants must be at least 1");
-        return 2;
-    }
-    let shed = match args.options.get("shed-policy") {
-        None => ShedPolicy::None,
-        Some(s) => match ShedPolicy::parse(s) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-    };
-    let slo = args.options.get("slo").map(|_| args.opt_u64("slo", 0));
-    let faults = match config::fault_plan(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let mix_name = args.opt("mix", "quick");
-    let Some(mix) = Mix::parse(&mix_name) else {
-        eprintln!("unknown mix {mix_name:?} (quick|full)");
-        return 2;
-    };
-    let (label, mut requests) = match args.options.get("trace") {
-        Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path:?}: {e}");
-                    return 2;
-                }
-            };
-            match traffic::from_jsonl(&text) {
-                Ok(r) => (format!("replay {path}"), r),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 2;
-                }
-            }
-        }
-        None => {
-            let load = args.opt_f64("load", 2.0);
-            if load <= 0.0 {
-                eprintln!("--load must be positive");
-                return 2;
-            }
-            let tenants = args.opt_u64("tenants", 100) as usize;
-            if tenants == 0 {
-                eprintln!("--tenants must be at least 1");
-                return 2;
-            }
-            let cfg = traffic::OpenLoopConfig {
-                requests: args.opt_u64("requests", 2_000) as usize,
-                tenants,
-                load,
-                seed: args.opt_u64("seed", 42),
-                mix,
-                slo,
-            };
-            (format!("load {load:.2}"), traffic::generate(&cfg))
-        }
-    };
-    // `--slo` is the default deadline: replayed requests keep their own.
-    if let Some(slo) = slo {
-        for r in &mut requests {
-            r.deadline.get_or_insert(slo);
-        }
-    }
-    let specs: Vec<JobSpec> = requests.iter().map(|r| r.spec.clone()).collect();
-    // Calibrate once per distinct shard geometry, not per shard. With
-    // `--cache` one decision cache is shared across the geometries; the
-    // measured cycles are byte-identical either way (only controller
-    // search work is saved), so fleet output stays cache-invariant.
-    let mut cache = args.flag("cache").then(DecisionCache::new);
-    let mut cals: Vec<(mocha::fabric::FabricConfig, Calibration)> = Vec::new();
-    for shard in fleet.shards() {
-        if cals.iter().any(|(f, _)| *f == shard.fabric) {
-            continue;
-        }
-        let cal = match cache.as_mut() {
-            Some(c) => {
-                Calibration::measure_cached(&shard.fabric, slots, &specs, Engine::configured(), c)
-            }
-            None => Calibration::measure(&shard.fabric, slots, &specs, Engine::configured()),
-        };
-        match cal {
-            Ok(c) => cals.push((shard.fabric, c)),
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        }
-    }
-    let services: Vec<Vec<u64>> = fleet
-        .shards()
-        .iter()
-        .map(|sh| {
-            let cal = &cals
-                .iter()
-                .find(|(f, _)| *f == sh.fabric)
-                .expect("calibrated above")
-                .1;
-            requests.iter().map(|r| cal.service(&r.spec)).collect()
-        })
-        .collect();
-    let obs_path = args.options.get("obs").cloned();
-    let params = FleetOpenLoopParams {
-        fleet: &fleet,
-        slots,
-        shed,
-        route,
-        route_seed: args.opt_u64("route-seed", 42),
-        faults: faults.as_ref(),
-        cold_penalty: args.opt_u64("cold-penalty", 0),
-        record_spans: obs_path.is_some(),
-    };
-    let mut rec = MemRecorder::new();
-    let (report, outcomes) = run_fleet_open_loop(&params, &requests, &services, &mut rec);
-
-    if let Some((spec, path)) = metrics {
-        let m = windows_from_open_loop(spec, &requests, &outcomes, &report.fault_log, shed);
-        if m.slo.is_some() {
-            m.record_alerts(&mut rec);
-        }
-        if let Err(e) = std::fs::write(&path, m.to_jsonl()) {
-            eprintln!("cannot write {path:?}: {e}");
-            return 2;
-        }
-    }
-
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    if args.flag("json") {
-        let _ = writeln!(out, "{}", report.to_json().to_string_pretty());
-    } else {
-        let _ = writeln!(
-            out,
-            "fleet open-loop ({label}): {} requests over {} shard(s), route {}, policy {}",
-            report.offered,
-            report.shards.len(),
-            report.route,
-            report.policy,
-        );
-        let _ = writeln!(
-            out,
-            "  admitted {} | shed {} | completed {} | failed {} | in-SLO {} | misses {}",
-            report.admitted,
-            report.shed,
-            report.completed,
-            report.failed,
-            report.in_slo,
-            report.deadline_misses,
-        );
-        let _ = writeln!(
-            out,
-            "  routing: {} rebalanced | {} cold | {} warm",
-            report.rebalanced, report.cold_misses, report.warm_hits,
-        );
-        if faults.is_some() {
-            let _ = writeln!(
-                out,
-                "  faults: {} injected | {} quarantined | {} cycles lost",
-                report.faults_injected, report.quarantined, report.lost_cycles,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  goodput {:.3} /Mcycle | p50 {} p95 {} p99 {} cycles | mean wait {:.0} | util {:.1} %",
-            report.goodput_per_mcycle(),
-            report.latency_percentile(50.0),
-            report.latency_percentile(95.0),
-            report.latency_percentile(99.0),
-            report.mean_queue_wait,
-            100.0 * report.utilization(),
-        );
-        let _ = writeln!(
-            out,
-            "  {:>5} {:<12} {:>7} {:>7} {:>5} {:>9} {:>7} {:>7} {:>7} {:>10}",
-            "shard",
-            "fabric",
-            "servers",
-            "routed",
-            "shed",
-            "completed",
-            "failed",
-            "reb-in",
-            "reb-out",
-            "p99"
-        );
-        for (i, s) in report.shards.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "  {:>5} {:<12} {:>7} {:>7} {:>5} {:>9} {:>7} {:>7} {:>7} {:>10}",
-                i,
-                s.label,
-                s.servers,
-                s.routed,
-                s.shed,
-                s.completed,
-                s.failed,
-                s.rebalanced_in,
-                s.rebalanced_out,
-                s.latency_percentile(99.0),
-            );
-        }
-    }
-    match obs_path.as_deref() {
-        None => print!("{out}"),
-        // `--obs -`: the event stream owns stdout; the report moves to
-        // stderr (same contract as `serve --open-loop --obs -`).
-        Some("-") => {
-            print!("{}", rec.to_jsonl());
-            eprint!("{out}");
-        }
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rec.to_jsonl()) {
-                eprintln!("cannot write {path:?}: {e}");
-                return 2;
-            }
-            print!("{out}");
-        }
-    }
-    0
+    Ok((out, rec))
 }

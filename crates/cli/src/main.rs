@@ -16,10 +16,7 @@
 //!                    [--jobs N] [--load F] [--seed N] [--mix M] [--faults SPEC]
 //!                    [--obs FILE|-] [--json] [--threads N]
 //! mocha-sim fleet    --open-loop [--fleet SPEC] [--route POLICY]
-//!                    [--cold-penalty N] [--requests N] [--load F] [--seed N]
-//!                    [--slo CYCLES] [--shed-policy P] [--faults SPEC]
-//!                    [--trace FILE] [--json] [--obs FILE|-]
-//!                    [--metrics-window W --metrics FILE]
+//!                    [--route-seed N] [--cold-penalty N] OPEN-LOOP-OPTIONS
 //! mocha-sim trace    summary <FILE|-> | export <FILE|-> --chrome OUT
 //!                    | diff <A> <B> [--fail-on-regression PCT]
 //! mocha-sim serve    [--tcp ADDR] [--once] [--policy P] [--max-tenants N]
@@ -28,9 +25,14 @@
 //!                    (a batch starting with the bare line `stats` returns a
 //!                    counters/histograms snapshot; `metrics` returns the
 //!                    windowed exposition + JSON snapshot)
-//! mocha-sim serve    --open-loop [--requests N] [--tenants N] [--load F]
-//!                    [--seed N] [--slo CYCLES] [--shed-policy P]
-//!                    [--trace FILE] [--json] [--obs FILE|-]
+//! mocha-sim serve    --open-loop [--fabric FILE] OPEN-LOOP-OPTIONS
+//!                    (with --fleet or --route: the `fleet --open-loop`
+//!                    options instead — one front end, two entry points)
+//!
+//! OPEN-LOOP-OPTIONS: [--requests N] [--tenants N] [--load F] [--seed N]
+//!                    [--mix quick|full] [--slo CYCLES] [--shed-policy P]
+//!                    [--trace FILE] [--max-tenants N] [--faults SPEC]
+//!                    [--cache] [--json] [--obs FILE|-] [--threads N]
 //!                    [--metrics-window W --metrics FILE]
 //! ```
 //!

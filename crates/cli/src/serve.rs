@@ -13,7 +13,9 @@
 //!
 //! `serve --open-loop` is the offline twin used by experiment R3: a seeded
 //! heavy-tailed open-loop trace (or a `--trace FILE` replay) driven through
-//! the calibrated queueing model, printing goodput/latency aggregates.
+//! the calibrated queueing model, printing goodput/latency aggregates. The
+//! same front end serves `fleet --open-loop` (experiment R5): with `--fleet`
+//! or `--route` the trace is routed over the fleet's shards instead.
 //!
 //! `runtime` is the closed-loop generator: it creates a seeded arrival
 //! trace over a tenant mix and prints per-job rows and fleet aggregates,
@@ -22,17 +24,17 @@
 use crate::args::Args;
 use crate::commands;
 use crate::config;
+use crate::fleet_cmd;
 use mocha::engine::Engine;
+use mocha::fleet::{run_fleet_open_loop, FleetOpenLoopParams, FleetSpec};
 use mocha::obs::{names, MemRecorder, Recorder, WindowSpec, WindowedMetrics};
-use mocha::runtime::{
-    self, DecisionCache, JobSpec, Mix, RuntimeConfig, RuntimeReport, Submission, TrafficConfig,
-};
+use mocha::runtime::{self, DecisionCache, JobSpec, RuntimeConfig, RuntimeReport, Submission};
 use mocha::serve::{
     read_line_capped, run_open_loop, serve_reactor, traffic, windows_from_open_loop,
     windows_from_runtime, BatchHandler, Calibration, ClientBatch, LineRead, OpenLoopParams,
     ReactorConfig, Request, RequestOutcome, ShedPolicy, MAX_LINE_BYTES,
 };
-use mocha_json::{FromJson, ToJson};
+use mocha_json::ToJson;
 use std::collections::BTreeMap;
 
 /// Span retention cap for the server's always-on recorder: counters and
@@ -203,22 +205,27 @@ struct ServeState {
 }
 
 impl ServeState {
-    fn new(
-        cfg: RuntimeConfig,
-        shed: ShedPolicy,
-        slo: Option<u64>,
-        window: Option<WindowSpec>,
-    ) -> Self {
-        let cache = cfg.cache.then(DecisionCache::new);
-        ServeState {
+    /// Builds the server from its runtime options, `--shed-policy`,
+    /// `--slo` and `--metrics-window`.
+    fn from_args(args: &Args) -> Result<Self, String> {
+        let cfg = config::runtime_config(args)?;
+        let shed = shed_policy(args)?;
+        let slo = args.options.get("slo").map(|_| args.opt_u64("slo", 0));
+        // Live servers expose windows through the `metrics` query, not a file.
+        let window = args
+            .options
+            .get("metrics-window")
+            .map(|w| WindowSpec::parse(w))
+            .transpose()?;
+        Ok(ServeState {
+            cache: cfg.cache.then(DecisionCache::new),
             cfg,
             shed,
             slo,
             services: BTreeMap::new(),
             rec: MemRecorder::with_span_cap(SERVE_SPAN_CAP),
-            cache,
             metrics: window.map(ServeMetrics::new),
-        }
+        })
     }
 
     /// Calibrated one-slot service time for a spec's template, measured on
@@ -241,34 +248,6 @@ impl ServeState {
     }
 }
 
-/// Parses one JSON-lines request into a submission plus its optional
-/// per-request deadline.
-fn parse_request(line: &str) -> Result<(Submission, Option<u64>), String> {
-    let v = mocha_json::parse(line).map_err(|e| format!("bad request JSON: {e}"))?;
-    let spec = JobSpec::from_json(&v).map_err(|e| format!("bad request: {e}"))?;
-    spec.validate()?;
-    let arrival_cycle = match v.get("arrival_cycle") {
-        None => 0,
-        Some(c) => c
-            .as_u64()
-            .ok_or("arrival_cycle must be a non-negative integer")?,
-    };
-    let deadline = match v.get("deadline_cycles") {
-        None => None,
-        Some(d) => Some(
-            d.as_u64()
-                .ok_or("deadline_cycles must be a non-negative integer")?,
-        ),
-    };
-    Ok((
-        Submission {
-            arrival_cycle,
-            spec,
-        },
-        deadline,
-    ))
-}
-
 /// Runs one round of client batches through the runtime together: requests
 /// are parsed per client (a bad line fails only that client), merged
 /// across clients in arrival order, optionally filtered by the shed
@@ -284,8 +263,14 @@ fn run_batches(state: &mut ServeState, batches: &[Vec<String>]) -> Vec<Result<St
         let mut bad = None;
         for (n, line) in lines.iter().enumerate() {
             state.rec.add(names::SERVE_REQUESTS, 1);
-            match parse_request(line.trim()) {
-                Ok(p) => parsed.push(p),
+            match traffic::parse_request(line.trim()) {
+                Ok(r) => parsed.push((
+                    Submission {
+                        arrival_cycle: r.arrival,
+                        spec: r.spec,
+                    },
+                    r.deadline,
+                )),
                 Err(e) => {
                     state.rec.add(names::SERVE_REQUESTS_REJECTED, 1);
                     bad = Some(format!("line {}: {e}", n + 1));
@@ -489,24 +474,30 @@ fn is_query(lines: &[String]) -> bool {
     is_stats(lines) || is_metrics(lines)
 }
 
+/// A one-line JSON `error` response.
+fn error_line(msg: &str) -> String {
+    format!(
+        "{}\n",
+        mocha_json::jobj! { "error" => msg }.to_string_compact()
+    )
+}
+
 /// The `metrics` response: the Prometheus-style text exposition followed
 /// by one compact JSON snapshot line — or a one-line error when the
-/// server was started without `--metrics-window`.
+/// server was started without `--metrics-window`, or when its windows
+/// would pass the export cap (the server keeps serving).
 fn metrics_response(state: &mut ServeState) -> String {
     state.rec.add(names::SERVE_METRICS_REQUESTS, 1);
     match &state.metrics {
-        None => format!(
-            "{}\n",
-            mocha_json::jobj! {
-                "error" => "metrics disabled (run with --metrics-window)",
-            }
-            .to_string_compact()
-        ),
-        Some(sm) => format!(
-            "{}{}\n",
-            sm.m.exposition(),
-            sm.m.snapshot_json().to_string_compact()
-        ),
+        None => error_line("metrics disabled (run with --metrics-window)"),
+        Some(sm) => match sm.m.check_window_cap() {
+            Err(e) => error_line(&e),
+            Ok(()) => format!(
+                "{}{}\n",
+                sm.m.exposition(),
+                sm.m.snapshot_json().to_string_compact()
+            ),
+        },
     }
 }
 
@@ -590,13 +581,7 @@ impl BatchHandler for ServeHandler<'_> {
         }
         if !jobs.is_empty() {
             for (pos, result) in job_pos.into_iter().zip(run_batches(self.state, &jobs)) {
-                responses[pos] = Some(match result {
-                    Ok(r) => r,
-                    Err(e) => format!(
-                        "{}\n",
-                        mocha_json::jobj! { "error" => e.as_str() }.to_string_compact()
-                    ),
-                });
+                responses[pos] = Some(result.unwrap_or_else(|e| error_line(&e)));
             }
         }
         // Query batches answer after the round's job batches, so a
@@ -620,17 +605,15 @@ impl BatchHandler for ServeHandler<'_> {
     }
 
     fn protocol_error(&mut self, msg: &str) -> String {
-        format!(
-            "{}\n",
-            mocha_json::jobj! { "error" => msg }.to_string_compact()
-        )
+        error_line(msg)
     }
 }
 
 /// `serve` subcommand.
 pub fn serve(args: &Args) -> i32 {
     if args.flag("open-loop") {
-        return open_loop(args);
+        // `--fleet` or `--route` shards the trace over a fleet.
+        return open_loop(args, args.flag("fleet") || args.flag("route"));
     }
     if let Err(code) = commands::strict(
         args,
@@ -652,38 +635,13 @@ pub fn serve(args: &Args) -> i32 {
     ) {
         return code;
     }
-    let cfg = match config::runtime_config(args) {
-        Ok(cfg) => cfg,
+    let mut state = match ServeState::from_args(args) {
+        Ok(state) => state,
         Err(e) => {
             eprintln!("{e}");
             return 2;
         }
     };
-    let shed = match args.options.get("shed-policy") {
-        None => ShedPolicy::None,
-        Some(s) => match ShedPolicy::parse(s) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-    };
-    let slo = args.options.get("slo").map(|_| args.opt_u64("slo", 0));
-    // Live servers expose windows through the `metrics` query, not a file.
-    let window = match args
-        .options
-        .get("metrics-window")
-        .map(|w| WindowSpec::parse(w))
-    {
-        None => None,
-        Some(Ok(w)) => Some(w),
-        Some(Err(e)) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let mut state = ServeState::new(cfg, shed, slo, window);
     match args.options.get("tcp") {
         None => serve_stdin(&mut state),
         Some(addr) => {
@@ -715,10 +673,17 @@ pub fn serve(args: &Args) -> i32 {
     }
 }
 
+/// Parses `--shed-policy` (default none).
+fn shed_policy(args: &Args) -> Result<ShedPolicy, String> {
+    args.options
+        .get("shed-policy")
+        .map_or(Ok(ShedPolicy::None), |s| ShedPolicy::parse(s))
+}
+
 /// Parses the paired offline metrics flags: `--metrics-window W` selects
 /// the windowing and `--metrics FILE` the JSONL destination — both or
 /// neither.
-pub(crate) fn metrics_flags(args: &Args) -> Result<Option<(WindowSpec, String)>, String> {
+fn metrics_flags(args: &Args) -> Result<Option<(WindowSpec, String)>, String> {
     match (args.options.get("metrics-window"), args.options.get("metrics")) {
         (None, None) => Ok(None),
         (Some(_), None) => {
@@ -741,108 +706,116 @@ pub(crate) fn metrics_flags(args: &Args) -> Result<Option<(WindowSpec, String)>,
     }
 }
 
-/// `serve --open-loop`: the offline load-sweep mode behind experiment R3.
-/// Generates (or replays) a heavy-tailed open-loop trace, calibrates
-/// per-template service times, and runs the deterministic queueing
-/// simulation with the chosen shed policy.
-fn open_loop(args: &Args) -> i32 {
-    // `serve --open-loop --fleet SPEC` is the fleet path: same trace and
-    // calibration contract, sharded over N fabrics by `mocha::fleet`.
-    if args.options.contains_key("fleet") || args.options.contains_key("route") {
-        return crate::fleet_cmd::open_loop(args);
-    }
-    if let Err(code) = commands::strict(
-        args,
-        0,
-        &[
-            "open-loop",
-            "requests",
-            "tenants",
-            "load",
-            "seed",
-            "mix",
-            "slo",
-            "shed-policy",
-            "trace",
-            "json",
-            "obs",
-            "fabric",
-            "max-tenants",
-            "threads",
-            "faults",
-            "cache",
-            "metrics-window",
-            "metrics",
-        ],
-    ) {
+/// Options every open-loop entry point takes. Single-fabric mode adds
+/// `--fabric`; fleet mode adds [`FLEET_OPTIONS`].
+const OPEN_LOOP_OPTIONS: [&str; 17] = [
+    "open-loop",
+    "requests",
+    "tenants",
+    "load",
+    "seed",
+    "mix",
+    "slo",
+    "shed-policy",
+    "trace",
+    "json",
+    "obs",
+    "max-tenants",
+    "threads",
+    "faults",
+    "cache",
+    "metrics-window",
+    "metrics",
+];
+
+/// The fleet-mode options: fleet shape, routing, and cold penalty.
+const FLEET_OPTIONS: [&str; 4] = ["fleet", "route", "route-seed", "cold-penalty"];
+
+/// `serve --open-loop` and `fleet --open-loop`: the offline load sweep
+/// behind experiments R3 and R5. Generates (or replays) a heavy-tailed
+/// open-loop trace, calibrates per-template service times once per shard
+/// geometry, and runs the deterministic queueing engine with the chosen
+/// shed policy — on one fabric, or with `fleet` routed over the shards of
+/// `--fleet` with per-shard fault domains, live re-balancing and cold
+/// penalties.
+pub(crate) fn open_loop(args: &Args, fleet: bool) -> i32 {
+    let mode: &[&str] = if fleet { &FLEET_OPTIONS } else { &["fabric"] };
+    if let Err(code) = commands::strict(args, 0, &[&OPEN_LOOP_OPTIONS[..], mode].concat()) {
         return code;
     }
-    let metrics = match metrics_flags(args) {
-        Ok(m) => m,
+    match sweep(args, fleet) {
+        Ok((out, rec)) => commands::emit(args, &out, &rec),
         Err(e) => {
             eprintln!("{e}");
-            return 2;
+            2
         }
+    }
+}
+
+/// Writes the text-report lines both open-loop engines share (their
+/// reports name the aggregates alike): the admission tally, the mode's
+/// `$extra` lines, the fault tally when `$faults`, and goodput and latency.
+macro_rules! open_loop_tally {
+    ($out:expr, $r:expr, $extra:expr, $faults:expr) => {{
+        let (out, r) = (&mut $out, &$r);
+        let _ = writeln!(
+            out,
+            "  admitted {} | shed {} | completed {} | failed {} | in-SLO {} | misses {}",
+            r.admitted, r.shed, r.completed, r.failed, r.in_slo, r.deadline_misses,
+        );
+        out.push_str($extra);
+        if $faults {
+            let _ = writeln!(
+                out,
+                "  faults: {} injected | {} quarantined | {} cycles lost",
+                r.faults_injected, r.quarantined, r.lost_cycles,
+            );
+        }
+        let _ = writeln!(
+            out,
+            "  goodput {:.3} /Mcycle | p50 {} p95 {} p99 {} cycles | mean wait {:.0} | util {:.1} %",
+            r.goodput_per_mcycle(),
+            r.latency_percentile(50.0),
+            r.latency_percentile(95.0),
+            r.latency_percentile(99.0),
+            r.mean_queue_wait,
+            100.0 * r.utilization(),
+        );
+    }};
+}
+
+/// The open-loop sweep behind [`open_loop`]: the shared flags, the trace,
+/// calibration and the `--metrics` export run once; only the engine and
+/// the report text depend on the mode. Returns the report text and the
+/// recorder for the `--obs` sink.
+fn sweep(args: &Args, fleet_mode: bool) -> Result<(String, MemRecorder), String> {
+    let metrics = metrics_flags(args)?;
+    // Single-fabric mode is the one-shard fleet: strict admits `--fabric`
+    // only there, and `--fleet` only in fleet mode.
+    let fleet = match args.options.get("fabric") {
+        Some(_) => FleetSpec::single(commands::load_fabric(args)),
+        None => fleet_cmd::fleet_spec(args)?,
     };
-    let fabric = match args.options.get("fabric") {
-        None => mocha::fabric::FabricConfig::mocha_quad(),
-        Some(_) => commands::load_fabric(args),
-    };
+    let route = fleet_cmd::route_kind(args)?;
     let slots = args.opt_u64("max-tenants", 4) as usize;
     if slots == 0 {
-        eprintln!("--max-tenants must be at least 1");
-        return 2;
+        return Err("--max-tenants must be at least 1".into());
     }
-    let shed = match args.options.get("shed-policy") {
-        None => ShedPolicy::None,
-        Some(s) => match ShedPolicy::parse(s) {
-            Ok(p) => p,
-            Err(e) => {
-                eprintln!("{e}");
-                return 2;
-            }
-        },
-    };
+    let shed = shed_policy(args)?;
     let slo = args.options.get("slo").map(|_| args.opt_u64("slo", 0));
-    let faults = match config::fault_plan(args) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let mix_name = args.opt("mix", "quick");
-    let Some(mix) = Mix::parse(&mix_name) else {
-        eprintln!("unknown mix {mix_name:?} (quick|full)");
-        return 2;
-    };
+    let faults = config::fault_plan(args)?;
+    let mix = config::mix(args)?;
     let (label, mut requests) = match args.options.get("trace") {
         Some(path) => {
-            let text = match std::fs::read_to_string(path) {
-                Ok(t) => t,
-                Err(e) => {
-                    eprintln!("cannot read {path:?}: {e}");
-                    return 2;
-                }
-            };
-            match traffic::from_jsonl(&text) {
-                Ok(r) => (format!("replay {path}"), r),
-                Err(e) => {
-                    eprintln!("{e}");
-                    return 2;
-                }
-            }
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
+            (format!("replay {path}"), traffic::from_jsonl(&text)?)
         }
         None => {
-            let load = args.opt_f64("load", 2.0);
-            if load <= 0.0 {
-                eprintln!("--load must be positive");
-                return 2;
-            }
+            let load = config::load(args)?;
             let tenants = args.opt_u64("tenants", 100) as usize;
             if tenants == 0 {
-                eprintln!("--tenants must be at least 1");
-                return 2;
+                return Err("--tenants must be at least 1".into());
             }
             let cfg = traffic::OpenLoopConfig {
                 requests: args.opt_u64("requests", 2_000) as usize,
@@ -862,101 +835,117 @@ fn open_loop(args: &Args) -> i32 {
         }
     }
     let specs: Vec<JobSpec> = requests.iter().map(|r| r.spec.clone()).collect();
-    // `--cache`: calibration shares one decision cache across templates.
-    // Measured cycles are byte-identical either way; only the controller
-    // search work is saved.
-    let cal = match if args.flag("cache") {
-        let mut cache = DecisionCache::new();
-        Calibration::measure_cached(&fabric, slots, &specs, Engine::configured(), &mut cache)
-    } else {
-        Calibration::measure(&fabric, slots, &specs, Engine::configured())
-    } {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
+    // `--cache` shares one decision cache across the calibrated geometries.
+    let mut cache = args.flag("cache").then(DecisionCache::new);
+    let services: Vec<Vec<u64>> = fleet
+        .calibrate(slots, &specs, Engine::configured(), cache.as_mut())?
+        .iter()
+        .map(|cal| requests.iter().map(|r| cal.service(&r.spec)).collect())
+        .collect();
+    let record_spans = args.flag("obs");
+
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let (mut rec, outcomes, fault_log) = if fleet_mode {
+        let params = FleetOpenLoopParams {
+            fleet: &fleet,
+            slots,
+            shed,
+            route,
+            route_seed: args.opt_u64("route-seed", 42),
+            faults: faults.as_ref(),
+            cold_penalty: args.opt_u64("cold-penalty", 0),
+            record_spans,
+        };
+        let mut rec = MemRecorder::new();
+        let (report, outcomes) = run_fleet_open_loop(&params, &requests, &services, &mut rec);
+        if args.flag("json") {
+            let _ = writeln!(out, "{}", report.to_json().to_string_pretty());
+        } else {
+            let _ = writeln!(
+                out,
+                "fleet open-loop ({label}): {} requests over {} shard(s), route {}, policy {}",
+                report.offered,
+                report.shards.len(),
+                report.route,
+                report.policy,
+            );
+            let routing = format!(
+                "  routing: {} rebalanced | {} cold | {} warm\n",
+                report.rebalanced, report.cold_misses, report.warm_hits,
+            );
+            open_loop_tally!(out, report, &routing, faults.is_some());
+            let _ = writeln!(
+                out,
+                "  {:>5} {:<12} {:>7} {:>7} {:>5} {:>9} {:>7} {:>7} {:>7} {:>10}",
+                "shard",
+                "fabric",
+                "servers",
+                "routed",
+                "shed",
+                "completed",
+                "failed",
+                "reb-in",
+                "reb-out",
+                "p99"
+            );
+            for (i, s) in report.shards.iter().enumerate() {
+                let _ = writeln!(
+                    out,
+                    "  {:>5} {:<12} {:>7} {:>7} {:>5} {:>9} {:>7} {:>7} {:>7} {:>10}",
+                    i,
+                    s.label,
+                    s.servers,
+                    s.routed,
+                    s.shed,
+                    s.completed,
+                    s.failed,
+                    s.rebalanced_in,
+                    s.rebalanced_out,
+                    s.latency_percentile(99.0),
+                );
+            }
         }
+        (rec, outcomes, report.fault_log)
+    } else {
+        let params = OpenLoopParams {
+            fabric: &fleet.shards()[0].fabric,
+            slots,
+            shed,
+            faults: faults.as_ref(),
+            record_spans,
+        };
+        let mut rec = MemRecorder::with_span_cap(SERVE_SPAN_CAP);
+        let (report, outcomes) = run_open_loop(&params, &requests, &services[0], &mut rec);
+        if args.flag("json") {
+            let _ = writeln!(out, "{}", report.to_json().to_string_pretty());
+        } else {
+            let _ = writeln!(
+                out,
+                "open-loop ({label}): {} requests on {} slots, policy {}",
+                report.offered, report.servers, report.policy,
+            );
+            open_loop_tally!(out, report, "", faults.is_some());
+        }
+        (rec, outcomes, report.fault_log)
     };
-    let services: Vec<u64> = requests.iter().map(|r| cal.service(&r.spec)).collect();
-    let obs_path = args.options.get("obs").cloned();
-    let params = OpenLoopParams {
-        fabric: &fabric,
-        slots,
-        shed,
-        faults: faults.as_ref(),
-        record_spans: obs_path.is_some(),
-    };
-    let mut rec = MemRecorder::with_span_cap(SERVE_SPAN_CAP);
-    let (report, outcomes) = run_open_loop(&params, &requests, &services, &mut rec);
 
     if let Some((spec, path)) = metrics {
-        let m = windows_from_open_loop(spec, &requests, &outcomes, &report.fault_log, shed);
+        let m = windows_from_open_loop(spec, &requests, &outcomes, &fault_log, shed);
+        write_windows(&m, &path)?;
         // SLO alerts also land in the obs stream (counter + spans) so the
         // trace tooling sees them without parsing the metrics file.
         if m.slo.is_some() {
             m.record_alerts(&mut rec);
         }
-        if let Err(e) = std::fs::write(&path, m.to_jsonl()) {
-            eprintln!("cannot write {path:?}: {e}");
-            return 2;
-        }
     }
+    Ok((out, rec))
+}
 
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    if args.flag("json") {
-        let _ = writeln!(out, "{}", report.to_json().to_string_pretty());
-    } else {
-        let _ = writeln!(
-            out,
-            "open-loop ({label}): {} requests on {} slots, policy {}",
-            report.offered, report.servers, report.policy,
-        );
-        let _ = writeln!(
-            out,
-            "  admitted {} | shed {} | completed {} | failed {} | in-SLO {} | misses {}",
-            report.admitted,
-            report.shed,
-            report.completed,
-            report.failed,
-            report.in_slo,
-            report.deadline_misses,
-        );
-        if faults.is_some() {
-            let _ = writeln!(
-                out,
-                "  faults: {} injected | {} quarantined | {} cycles lost",
-                report.faults_injected, report.quarantined, report.lost_cycles,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  goodput {:.3} /Mcycle | p50 {} p95 {} p99 {} cycles | mean wait {:.0} | util {:.1} %",
-            report.goodput_per_mcycle(),
-            report.latency_percentile(50.0),
-            report.latency_percentile(95.0),
-            report.latency_percentile(99.0),
-            report.mean_queue_wait,
-            100.0 * report.utilization(),
-        );
-    }
-    match obs_path.as_deref() {
-        None => print!("{out}"),
-        // `--obs -`: the event stream owns stdout; the report moves to
-        // stderr (same contract as `runtime --obs -`).
-        Some("-") => {
-            print!("{}", rec.to_jsonl());
-            eprint!("{out}");
-        }
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rec.to_jsonl()) {
-                eprintln!("cannot write {path:?}: {e}");
-                return 2;
-            }
-            print!("{out}");
-        }
-    }
-    0
+/// Writes a windowed `--metrics` export, refusing one past the window cap.
+fn write_windows(m: &WindowedMetrics, path: &str) -> Result<(), String> {
+    m.check_window_cap()?;
+    std::fs::write(path, m.to_jsonl()).map_err(|e| format!("cannot write {path:?}: {e}"))
 }
 
 /// `runtime` subcommand.
@@ -984,52 +973,32 @@ pub fn runtime_cmd(args: &Args) -> i32 {
     ) {
         return code;
     }
-    let metrics = match metrics_flags(args) {
-        Ok(m) => m,
+    match runtime_run(args) {
+        Ok((out, rec)) => commands::emit(args, &out, &rec),
         Err(e) => {
             eprintln!("{e}");
-            return 2;
+            2
         }
-    };
-    let cfg = match config::runtime_config(args) {
-        Ok(cfg) => cfg,
-        Err(e) => {
-            eprintln!("{e}");
-            return 2;
-        }
-    };
-    let mix_name = args.opt("mix", "quick");
-    let Some(mix) = Mix::parse(&mix_name) else {
-        eprintln!("unknown mix {mix_name:?} (quick|full)");
-        return 2;
-    };
-    let traffic = TrafficConfig {
-        jobs: args.opt_u64("jobs", 8) as usize,
-        load: args.opt_f64("load", 2.0),
-        seed: args.opt_u64("seed", 42),
-        mix,
-    };
-    if traffic.load <= 0.0 {
-        eprintln!("--load must be positive");
-        return 2;
     }
+}
+
+/// The run behind `runtime`: its report text and recorder.
+fn runtime_run(args: &Args) -> Result<(String, MemRecorder), String> {
+    let metrics = metrics_flags(args)?;
+    let cfg = config::runtime_config(args)?;
+    let traffic = config::traffic(args)?;
     let subs = runtime::generate(&traffic);
     // With `--obs` the run is recorded and the full event stream exported
     // as JSON lines. The stream is a pure function of the seeded run, so
     // identical invocations produce byte-identical output.
-    let obs_path = args.options.get("obs").cloned();
     let mut rec = MemRecorder::new();
-    let report = match &obs_path {
-        None => runtime::run(&cfg, &subs),
-        Some(_) => runtime::run_with(&cfg, &subs, &mut rec),
+    let report = if args.flag("obs") {
+        runtime::run_with(&cfg, &subs, &mut rec)
+    } else {
+        runtime::run(&cfg, &subs)
     };
-
     if let Some((spec, path)) = metrics {
-        let m = windows_from_runtime(spec, &report);
-        if let Err(e) = std::fs::write(&path, m.to_jsonl()) {
-            eprintln!("cannot write {path:?}: {e}");
-            return 2;
-        }
+        write_windows(&windows_from_runtime(spec, &report), &path)?;
     }
 
     use std::fmt::Write as _;
@@ -1041,7 +1010,7 @@ pub fn runtime_cmd(args: &Args) -> i32 {
             out,
             "{} jobs ({} mix, load {:.2}, seed {}) on {}x{} fabric, policy {}",
             traffic.jobs,
-            mix.name(),
+            traffic.mix.name(),
             traffic.load,
             traffic.seed,
             cfg.fabric.pe_rows,
@@ -1104,21 +1073,5 @@ pub fn runtime_cmd(args: &Args) -> i32 {
         );
     }
 
-    match obs_path.as_deref() {
-        None => print!("{out}"),
-        // `--obs -`: the event stream owns stdout (clean for piping into
-        // `mocha-sim trace`); the human report moves to stderr.
-        Some("-") => {
-            print!("{}", rec.to_jsonl());
-            eprint!("{out}");
-        }
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, rec.to_jsonl()) {
-                eprintln!("cannot write {path:?}: {e}");
-                return 2;
-            }
-            print!("{out}");
-        }
-    }
-    0
+    Ok((out, rec))
 }

@@ -1889,3 +1889,180 @@ fn repro_r5_is_byte_identical_across_thread_counts() {
         assert_eq!(table, base, "--threads {threads} r5 table differs");
     }
 }
+
+/// Runs `mocha-sim` with `input` on stdin.
+fn mocha_sim_stdin(args: &[&str], input: &[u8]) -> Output {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_mocha-sim"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn mocha-sim");
+    child
+        .stdin
+        .take()
+        .expect("stdin")
+        .write_all(input)
+        .expect("write stdin");
+    child.wait_with_output().expect("wait")
+}
+
+/// An offered load that is not a finite positive number (NaN, infinity)
+/// is refused by every traffic generator's front end: exit 2, one stderr
+/// line, no panic.
+#[test]
+fn non_finite_offered_loads_exit_nonzero_on_every_front_end() {
+    for load in ["nan", "inf"] {
+        for cmd in [
+            &["runtime"][..],
+            &["fleet"][..],
+            &["serve", "--open-loop"][..],
+            &["fleet", "--open-loop"][..],
+        ] {
+            let args = [cmd, &["--load", load]].concat();
+            let out = mocha_sim(&args);
+            let err = stderr(&out);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {err}");
+            assert_eq!(err.lines().count(), 1, "{args:?}: stderr: {err}");
+            assert!(err.contains("--load"), "{args:?}: stderr: {err}");
+            assert!(stdout(&out).is_empty(), "{args:?}");
+        }
+    }
+}
+
+/// The stdin line protocol applies the same 2^53 cycle bound as `--trace`
+/// replay: an arrival a JSON number cannot carry exactly is a one-line
+/// protocol error, not an overflow in the scheduler.
+#[test]
+fn serve_stdin_rejects_cycles_beyond_exact_json_integers() {
+    for line in [
+        r#"{"network":"tiny","arrival_cycle":1e30}"#,
+        r#"{"network":"tiny","deadline_cycles":18446744073709551000}"#,
+    ] {
+        let out = mocha_sim_stdin(&["serve"], format!("{line}\n\n").as_bytes());
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{line}: stderr: {err}");
+        assert_eq!(err.lines().count(), 1, "{line}: stderr: {err}");
+        assert!(err.starts_with("line 1:"), "{line}: stderr: {err}");
+        assert!(err.contains("2^53"), "{line}: stderr: {err}");
+    }
+}
+
+/// A replayed arrival near 2^53 with a narrow `--metrics-window` would need
+/// ~10^13 windows: both open-loop entry points refuse the export with one
+/// stderr line naming the window count and the cap, instead of aborting on
+/// the allocation or walking the windows for hours.
+#[test]
+fn offline_windowed_exports_past_the_window_cap_exit_nonzero() {
+    let dir = std::env::temp_dir();
+    let trace = dir.join("mocha_window_cap_e2e.jsonl");
+    let metrics = dir.join("mocha_window_cap_e2e.metrics.jsonl");
+    std::fs::write(
+        &trace,
+        "{\"network\":\"tiny\",\"arrival_cycle\":9007199254740000}\n",
+    )
+    .expect("write trace");
+    let (trace_s, metrics_s) = (trace.to_str().unwrap(), metrics.to_str().unwrap());
+    for cmd in [
+        &["serve", "--open-loop", "--slo", "400000"][..],
+        &["fleet", "--open-loop"][..],
+    ] {
+        let args = [
+            cmd,
+            &[
+                "--trace",
+                trace_s,
+                "--metrics-window",
+                "1000",
+                "--metrics",
+                metrics_s,
+            ],
+        ]
+        .concat();
+        let out = mocha_sim(&args);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{cmd:?}: stderr: {err}");
+        assert_eq!(err.lines().count(), 1, "{cmd:?}: stderr: {err}");
+        assert!(err.contains("cover 9007199254"), "{cmd:?}: {err}");
+        assert!(err.contains("1048576"), "{cmd:?}: {err}");
+        assert!(stdout(&out).is_empty(), "{cmd:?}");
+    }
+    let _ = std::fs::remove_file(&trace);
+    let _ = std::fs::remove_file(&metrics);
+}
+
+/// The live `metrics` query past the window cap answers a one-line JSON
+/// error and the server keeps serving: a following `stats` still answers.
+#[test]
+fn serve_metrics_query_past_the_window_cap_keeps_the_server_alive() {
+    let out = mocha_sim_stdin(
+        &["serve", "--metrics-window", "1000"],
+        b"{\"network\":\"tiny\",\"arrival_cycle\":9007199254740000}\n\nmetrics\nstats\n",
+    );
+    let text = stdout(&out);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "job, summary, error, stats:\n{text}");
+    let err = mocha_json::parse(lines[2]).expect("error line is JSON");
+    let msg = err.get("error").and_then(|v| v.as_str()).unwrap_or("");
+    assert!(msg.contains("1048576"), "error line: {}", lines[2]);
+    let stats = mocha_json::parse(lines[3]).expect("stats line is JSON");
+    let jobs = stats.get("jobs").expect("stats carries the jobs block");
+    assert_eq!(jobs.get("finished").and_then(|v| v.as_u64()), Some(1));
+}
+
+/// `serve --open-loop --fleet …` and `fleet --open-loop` are one front end:
+/// the same arguments give byte-identical text, `--json`, `--obs` and
+/// `--metrics` output through either entry point.
+#[test]
+fn serve_and_fleet_open_loop_entry_points_are_byte_identical() {
+    let dir = std::env::temp_dir();
+    let args = [
+        "--open-loop",
+        "--fleet",
+        "preset=quad/preset=mocha",
+        "--route",
+        "locality",
+        "--requests",
+        "400",
+        "--tenants",
+        "60",
+        "--load",
+        "3.0",
+        "--seed",
+        "7",
+        "--slo",
+        "2000000",
+        "--faults",
+        "rate=0.5,seed=9",
+        "--cold-penalty",
+        "20000",
+        "--metrics-window",
+        "100000",
+    ];
+    let run = |cmd: &str, json: bool| {
+        let obs = dir.join(format!("mocha_entry_e2e_{cmd}_{json}.jsonl"));
+        let metrics = dir.join(format!("mocha_entry_e2e_{cmd}_{json}.metrics.jsonl"));
+        let mut all = vec![cmd];
+        all.extend(args);
+        all.extend(["--obs", obs.to_str().unwrap()]);
+        all.extend(["--metrics", metrics.to_str().unwrap()]);
+        if json {
+            all.push("--json");
+        }
+        let out = mocha_sim(&all);
+        assert!(out.status.success(), "{cmd}: stderr: {}", stderr(&out));
+        let files = [&obs, &metrics].map(|f| std::fs::read_to_string(f).expect("export"));
+        for f in [&obs, &metrics] {
+            let _ = std::fs::remove_file(f);
+        }
+        (stdout(&out), stderr(&out), files)
+    };
+    for json in [false, true] {
+        let (serve, fleet) = (run("serve", json), run("fleet", json));
+        assert!(serve.0.contains("route locality") || json, "{}", serve.0);
+        assert!(!serve.2[0].is_empty() && !serve.2[1].is_empty());
+        assert_eq!(serve, fleet, "json = {json}");
+    }
+}

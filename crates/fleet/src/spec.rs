@@ -14,7 +14,11 @@
 //!
 //! [`FaultPlan`]: mocha_fault::FaultPlan
 
+use mocha_core::DecisionCache;
+use mocha_engine::Engine;
 use mocha_fabric::FabricConfig;
+use mocha_runtime::JobSpec;
+use mocha_serve::Calibration;
 
 /// Hard cap on fleet size: large enough for every experiment, small enough
 /// that a typo'd `count=` cannot allocate a silly simulation.
@@ -142,6 +146,36 @@ impl FleetSpec {
     pub fn is_empty(&self) -> bool {
         self.shards.is_empty()
     }
+
+    /// Calibrates `specs` on `slots` tenant slots of every shard, returning
+    /// one calibration per shard in canonical order. Each distinct geometry
+    /// is measured once, in first-appearance order; repeats share its
+    /// table. With `cache` one decision cache spans the geometries: the
+    /// measured cycles are byte-identical either way, only controller
+    /// search work is saved. Fails on specs that do not validate.
+    pub fn calibrate(
+        &self,
+        slots: usize,
+        specs: &[JobSpec],
+        engine: Engine,
+        mut cache: Option<&mut DecisionCache>,
+    ) -> Result<Vec<Calibration>, String> {
+        let mut cals: Vec<Calibration> = Vec::with_capacity(self.shards.len());
+        for (i, shard) in self.shards.iter().enumerate() {
+            let seen = self.shards[..i]
+                .iter()
+                .position(|s| s.fabric == shard.fabric);
+            let cal = match (seen, cache.as_deref_mut()) {
+                (Some(j), _) => cals[j].clone(),
+                (None, Some(c)) => {
+                    Calibration::measure_cached(&shard.fabric, slots, specs, engine, c)?
+                }
+                (None, None) => Calibration::measure(&shard.fabric, slots, specs, engine)?,
+            };
+            cals.push(cal);
+        }
+        Ok(cals)
+    }
 }
 
 /// Deterministic per-shard derivation of a base seed: shard 0 keeps the
@@ -214,6 +248,36 @@ mod tests {
         assert_eq!(shard_seed(7, 0), 7);
         assert_ne!(shard_seed(7, 1), 7);
         assert_ne!(shard_seed(7, 1), shard_seed(7, 2));
+    }
+
+    #[test]
+    fn calibrate_measures_each_geometry_once_with_or_without_a_cache() {
+        let specs = [JobSpec {
+            network: "tiny".into(),
+            profile: "sparse".into(),
+            objective: mocha_core::Objective::Edp,
+            priority: mocha_runtime::Priority::Normal,
+            seed: 1,
+        }];
+        let fleet = FleetSpec::parse("preset=mocha/preset=quad/preset=mocha").unwrap();
+        let plain = fleet.calibrate(4, &specs, Engine::single(), None).unwrap();
+        assert_eq!(plain.len(), 3);
+        assert_eq!(plain[0].entries(), plain[2].entries());
+        assert_eq!(plain[2].slot(), plain[0].slot());
+        let quad = Calibration::measure(&FabricConfig::mocha_quad(), 4, &specs, Engine::single());
+        assert_eq!(plain[1].entries(), quad.unwrap().entries());
+        let mut cache = DecisionCache::new();
+        let cached = fleet
+            .calibrate(4, &specs, Engine::new(2), Some(&mut cache))
+            .unwrap();
+        for (a, b) in plain.iter().zip(&cached) {
+            assert_eq!(a.entries(), b.entries());
+        }
+        let bad = JobSpec {
+            network: "nope".into(),
+            ..specs[0].clone()
+        };
+        assert!(fleet.calibrate(4, &[bad], Engine::single(), None).is_err());
     }
 
     #[test]

@@ -32,6 +32,12 @@ use std::fmt::Write as _;
 use crate::{names, Histogram, Recorder};
 use mocha_json::Value;
 
+/// The most windows (base cells) an export may cover. Every export walks
+/// windows densely from cycle 0, so one event near the end of time with a
+/// narrow window would otherwise allocate or iterate ~10^12 rows; callers
+/// check [`WindowedMetrics::check_window_cap`] before exporting.
+pub const MAX_WINDOWS: u64 = 1 << 20;
+
 /// A window specification: `width` cycles per window, emitted every
 /// `stride` cycles. `stride == width` is a tumbling window; `stride <
 /// width` (with `width % stride == 0`) is a rolling window.
@@ -532,6 +538,20 @@ impl WindowedMetrics {
         self.slo.get_or_insert_with(SloTracker::new)
     }
 
+    /// Refuses an export that would cover more than [`MAX_WINDOWS`]
+    /// windows, with a one-line error naming the count and the cap.
+    pub fn check_window_cap(&self) -> Result<(), String> {
+        let n = self.windows.window_count();
+        if n > MAX_WINDOWS {
+            return Err(format!(
+                "windowed export would cover {n} windows of {} cycles, above the cap of \
+                 {MAX_WINDOWS}; use a wider window",
+                self.windows.spec.stride
+            ));
+        }
+        Ok(())
+    }
+
     fn slo_rows(&self) -> Vec<SloRow> {
         match (&self.slo, self.windows.max_cell) {
             (Some(slo), Some(last)) => slo.rows(last, &self.windows.spec),
@@ -967,6 +987,18 @@ mod tests {
         assert!(a.contains("\"event\":\"slo\""));
         // The labeled hist also gets an aggregate (empty-label) row.
         assert!(a.contains("\"labels\":\"\""));
+    }
+
+    #[test]
+    fn window_cap_refuses_exports_past_the_cap() {
+        let mut m = WindowedMetrics::new(WindowSpec::tumbling(10));
+        m.windows.observe_cycle(10 * MAX_WINDOWS - 1);
+        assert_eq!(m.check_window_cap(), Ok(()));
+        m.windows.observe_cycle(10 * MAX_WINDOWS);
+        let err = m.check_window_cap().unwrap_err();
+        assert!(err.contains(&(MAX_WINDOWS + 1).to_string()), "{err}");
+        assert!(err.contains(&MAX_WINDOWS.to_string()), "{err}");
+        assert_eq!(err.lines().count(), 1);
     }
 
     #[test]

@@ -62,24 +62,27 @@ impl FromJson for Request {
         let arrival = v
             .get("arrival_cycle")
             .map(|c| {
-                c.as_u64()
-                    .ok_or_else(|| mocha_json::JsonError::invalid("arrival_cycle"))
+                c.as_u64().ok_or_else(|| {
+                    mocha_json::JsonError::invalid("arrival_cycle must be a non-negative integer")
+                })
             })
             .transpose()?
             .unwrap_or(0);
         let tenant = v
             .get("tenant")
             .map(|t| {
-                t.as_u64()
-                    .ok_or_else(|| mocha_json::JsonError::invalid("tenant"))
+                t.as_u64().ok_or_else(|| {
+                    mocha_json::JsonError::invalid("tenant must be a non-negative integer")
+                })
             })
             .transpose()?
             .unwrap_or(0);
         let deadline = v
             .get("deadline_cycles")
             .map(|d| {
-                d.as_u64()
-                    .ok_or_else(|| mocha_json::JsonError::invalid("deadline_cycles"))
+                d.as_u64().ok_or_else(|| {
+                    mocha_json::JsonError::invalid("deadline_cycles must be a non-negative integer")
+                })
             })
             .transpose()?;
         Ok(Request {
@@ -192,36 +195,40 @@ pub fn to_jsonl(requests: &[Request]) -> String {
 /// The largest integer a JSON number carries exactly. Larger cycle counts
 /// reach [`Request::from_json`] already rounded (or saturated to
 /// `u64::MAX`, the engine's "no SLO" sentinel), and near `u64::MAX` they
-/// overflow the queueing engine's cycle arithmetic.
+/// overflow the queueing engine's and the runtime's cycle arithmetic.
 const MAX_TRACE_CYCLE: u64 = 1 << 53;
 
-/// Parses a JSON-lines trace. Blank lines are skipped, every spec is
-/// validated, arrival and deadline cycles above 2^53 are rejected, and the
-/// result is stably sorted by arrival so hand-edited traces replay cleanly.
-/// Errors carry 1-based line numbers.
+/// Parses one JSON-lines request — a line of the `serve` protocol or of a
+/// `--trace` file. The spec must validate, and arrival and deadline cycles
+/// above 2^53 are rejected. Errors are one line, without a line number:
+/// callers prefix their own.
+pub fn parse_request(line: &str) -> Result<Request, String> {
+    let v = mocha_json::parse(line).map_err(|e| format!("bad request JSON: {e}"))?;
+    let req = Request::from_json(&v).map_err(|e| format!("bad request: {e}"))?;
+    req.spec.validate()?;
+    for (field, cycles) in [
+        ("arrival_cycle", Some(req.arrival)),
+        ("deadline_cycles", req.deadline),
+    ] {
+        if cycles.is_some_and(|c| c > MAX_TRACE_CYCLE) {
+            return Err(format!(
+                "{field} exceeds 2^53, the largest exact JSON integer"
+            ));
+        }
+    }
+    Ok(req)
+}
+
+/// Parses a JSON-lines trace with [`parse_request`]. Blank lines are
+/// skipped and the result is stably sorted by arrival so hand-edited traces
+/// replay cleanly. Errors carry 1-based line numbers.
 pub fn from_jsonl(text: &str) -> Result<Vec<Request>, String> {
     let mut out = Vec::new();
     for (n, line) in text.lines().enumerate() {
         if line.trim().is_empty() {
             continue;
         }
-        let v = mocha_json::parse(line).map_err(|e| format!("trace line {}: {e}", n + 1))?;
-        let req = Request::from_json(&v).map_err(|e| format!("trace line {}: {e}", n + 1))?;
-        req.spec
-            .validate()
-            .map_err(|e| format!("trace line {}: {e}", n + 1))?;
-        for (field, cycles) in [
-            ("arrival_cycle", Some(req.arrival)),
-            ("deadline_cycles", req.deadline),
-        ] {
-            if cycles.is_some_and(|c| c > MAX_TRACE_CYCLE) {
-                return Err(format!(
-                    "trace line {}: {field} exceeds 2^53, the largest exact JSON integer",
-                    n + 1
-                ));
-            }
-        }
-        out.push(req);
+        out.push(parse_request(line).map_err(|e| format!("trace line {}: {e}", n + 1))?);
     }
     out.sort_by_key(|r| r.arrival);
     Ok(out)
@@ -326,6 +333,29 @@ mod tests {
         assert!(err.starts_with("trace line 2:"), "{err}");
         let err = from_jsonl("{\"network\":\"nope\"}\n").unwrap_err();
         assert!(err.starts_with("trace line 1:"), "{err}");
+    }
+
+    #[test]
+    fn request_lines_parse_validate_and_bound_their_cycles() {
+        let r =
+            parse_request(r#"{"network":"tiny","arrival_cycle":7,"deadline_cycles":9}"#).unwrap();
+        assert_eq!((r.arrival, r.deadline, r.tenant), (7, Some(9), 0));
+        for (line, want) in [
+            ("not json", "bad request JSON: "),
+            (
+                r#"{"network":"tiny","arrival_cycle":-1}"#,
+                "arrival_cycle must be a non-negative integer",
+            ),
+            (r#"{"network":"nope"}"#, "unknown network"),
+            (
+                r#"{"network":"tiny","arrival_cycle":1e30}"#,
+                "arrival_cycle exceeds 2^53",
+            ),
+        ] {
+            let err = parse_request(line).unwrap_err();
+            assert!(err.contains(want), "{line}: {err}");
+            assert!(!err.contains("line"), "no line number: {err}");
+        }
     }
 
     #[test]
