@@ -210,6 +210,33 @@ for t in 2 8; do
     done
 done
 
+echo "== histogram exactness pin (vs committed baselines/hist-smoke.txt)"
+# The histogram summaries of the matrix's open-loop and faulted --obs rows,
+# and a digest of the whist rows of both windowed --metrics exports, must
+# stay byte-identical to the baseline generated before the histogram store
+# changed. Regenerate with (from the repo root, after the release build):
+#   sim=target/release/mocha-sim; d="$(mktemp -d)"
+#   $sim serve --open-loop --requests 2000 --tenants 100 --load 3.0 --seed 7 \
+#       --slo 400000 --shed-policy deadline --json --threads 1 \
+#       --obs "$d/mat1.openloop.jsonl" > /dev/null
+#   $sim runtime --jobs 8 --load 2.0 --seed 42 --faults rate=15,seed=9 \
+#       --json --threads 1 --obs "$d/mat1.fault.jsonl" > /dev/null
+#   $sim serve --open-loop --requests 2000 --tenants 100 --load 3.0 --seed 7 \
+#       --slo 400000 --shed-policy deadline --json --threads 1 \
+#       --metrics-window 100000 --metrics "$d/mat1.openloop.metrics.jsonl" > /dev/null
+#   $sim runtime --jobs 3 --load 2.0 --seed 7 --threads 1 \
+#       --metrics-window 200000 --metrics "$d/mat1.metrics.jsonl" > /dev/null
+#   hist_smoke "$d" > baselines/hist-smoke.txt    # hist_smoke: defined below
+hist_smoke() {
+    grep '"event":"hist"' "$1/mat1.openloop.jsonl"
+    grep '"event":"hist"' "$1/mat1.fault.jsonl"
+    grep '"event":"whist"' "$1/mat1.openloop.metrics.jsonl" | sha256sum
+    grep '"event":"whist"' "$1/mat1.metrics.jsonl" | sha256sum
+}
+hist_smoke "$obs_tmp" | cmp - baselines/hist-smoke.txt || {
+    echo "histogram summaries differ from baselines/hist-smoke.txt"; exit 1
+}
+
 echo "== one open-loop front end (serve --open-loop --fleet == fleet --open-loop)"
 # Both entry points run the same open-loop path in fleet mode, so the
 # matrix's fleet open-loop row must replay byte-for-byte through `serve`.

@@ -157,10 +157,16 @@ USAGE:
                   [--mix quick|full] [--slo CYCLES] [--shed-policy P]
                   [--trace FILE] [--json] [--obs FILE|-] [--faults SPEC]
                   [--max-tenants N] [--metrics-window W --metrics FILE]
+                  [--threads N] [--cache] [--fabric FILE.json]
+                  [--fleet SPEC] [--route P] [--route-seed N] [--cold-penalty N]
       Offline open-loop load sweep (experiment R3's engine): generates a
       seeded heavy-tailed trace (or replays --trace FILE, JSON lines in
       the request format above) through the calibrated queueing model and
       prints goodput/latency aggregates. Deterministic at any --threads.
+      --cache shares one morph-decision cache across the calibration runs;
+      --fabric replaces the single fabric. With --fleet or --route the
+      sweep runs in fleet mode, exactly as `fleet --open-loop`, and also
+      takes --route-seed and --cold-penalty (but not --fabric).
 
 Fabric and energy tables can be overridden from JSON for any command:
   --fabric FILE.json     a serialized FabricConfig

@@ -511,6 +511,67 @@ fn bare_invocation_is_an_error_but_help_is_not() {
     assert!(stdout(&help).contains("mocha-sim serve"));
 }
 
+/// Every `--option` token in `text`, in order of appearance.
+fn option_tokens(text: &str) -> Vec<&str> {
+    text.match_indices("--")
+        .map(|(i, _)| {
+            let rest = &text[i + 2..];
+            let end = rest
+                .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                .unwrap_or(rest.len());
+            &rest[..end]
+        })
+        .filter(|name| !name.is_empty() && !name.starts_with('-'))
+        .collect()
+}
+
+/// Every option `serve --open-loop`'s strict allowlist admits, in
+/// single-fabric or fleet mode, is listed in its `help` entry. The
+/// allowlist is probed through the binary: each option the help text
+/// mentions anywhere is passed with a stray positional, so strict parsing
+/// rejects the line before any work runs, naming the option only when it
+/// is not on the list.
+#[test]
+fn help_lists_every_open_loop_option() {
+    let help = stdout(&mocha_sim(&["help"]));
+    let entry = help
+        .split("mocha-sim serve --open-loop")
+        .nth(1)
+        .and_then(|rest| rest.split("\n\n").next())
+        .expect("help has a serve --open-loop entry");
+    let listed = option_tokens(entry);
+    let mut candidates = option_tokens(&help);
+    candidates.sort_unstable();
+    candidates.dedup();
+    let mut admitted = 0;
+    for name in candidates {
+        let flag = format!("--{name}");
+        for mode in [&[][..], &["--fleet", "preset=quad"][..]] {
+            let mut args = vec!["serve", "--open-loop", flag.as_str(), "x"];
+            args.extend_from_slice(mode);
+            args.push("stray");
+            let out = mocha_sim(&args);
+            assert_eq!(out.status.code(), Some(2), "args: {args:?}");
+            if stderr(&out).contains("unknown option") {
+                continue;
+            }
+            admitted += 1;
+            assert!(
+                listed.contains(&name),
+                "serve --open-loop admits {flag} (args {args:?}) but its help entry omits it"
+            );
+        }
+    }
+    // The probe must separate admitted options from rejected ones: the 17
+    // options both modes share are admitted twice.
+    assert!(
+        admitted >= 2 * 17,
+        "only {admitted} (option, mode) pairs admitted"
+    );
+    let jobs = mocha_sim(&["serve", "--open-loop", "--jobs", "3", "stray"]);
+    assert!(stderr(&jobs).contains("unknown option --jobs"));
+}
+
 /// The determinism matrix: the same seeded workload at `--threads 1`, `2`
 /// and `8` must produce byte-identical reports AND byte-identical obs
 /// streams. Parallelism is an execution detail — the engine reduces in

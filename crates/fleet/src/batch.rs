@@ -286,6 +286,16 @@ pub fn run_fleet<R: Recorder>(
             report,
         });
     }
+    // Conservation: the batch router rejects nothing, so every submission
+    // is routed to exactly one shard, and each shard finishes or fails
+    // every job routed to it.
+    debug_assert_eq!(
+        shards.iter().map(|s| s.routed).sum::<usize>(),
+        submissions.len()
+    );
+    debug_assert!(shards
+        .iter()
+        .all(|s| s.report.jobs.len() + s.report.failed == s.routed));
     FleetBatchReport {
         route: cfg.route.name().to_string(),
         offered: submissions.len(),

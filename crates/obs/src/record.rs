@@ -16,18 +16,48 @@ pub struct SpanEvent {
     pub end: u64,
 }
 
+/// Name-sorted `(name, value)` slots: the recorder's counter and histogram
+/// tables.
+type Slots<V> = Vec<(&'static str, V)>;
+
+/// The slot of `name`, inserted at its sorted position on first use.
+///
+/// Callers pass `names::*` constants, so the slot is usually found by
+/// comparing the string's address; a name that reaches here through a
+/// different address (another crate's copy of the literal, or a string
+/// built at run time) falls back to a string search.
+fn slot<'a, V: Default>(slots: &'a mut Slots<V>, name: &'static str) -> &'a mut V {
+    let i = match slots.iter().position(|&(n, _)| std::ptr::eq(n, name)) {
+        Some(i) => i,
+        None => match slots.binary_search_by(|&(n, _)| n.cmp(name)) {
+            Ok(i) => i,
+            Err(i) => {
+                slots.insert(i, (name, V::default()));
+                i
+            }
+        },
+    };
+    &mut slots[i].1
+}
+
+/// The value in `name`'s slot, if any.
+fn find<'a, V>(slots: &'a Slots<V>, name: &str) -> Option<&'a V> {
+    let i = slots.binary_search_by(|&(n, _)| n.cmp(name)).ok()?;
+    Some(&slots[i].1)
+}
+
 /// A [`Recorder`] that keeps everything in memory.
 ///
 /// Spans are stored in call order; counters and histograms in name order
-/// (`BTreeMap`). Both orders are pure functions of the recorded calls, so a
-/// deterministic simulation yields a byte-identical [`Self::to_jsonl`]
-/// stream on every run.
+/// (name-sorted slot tables). Both orders are pure functions of the
+/// recorded calls, so a deterministic simulation yields a byte-identical
+/// [`Self::to_jsonl`] stream on every run.
 #[derive(Debug, Clone, Default)]
 pub struct MemRecorder {
     spans: Vec<SpanEvent>,
-    counters: BTreeMap<&'static str, u64>,
-    fcounters: BTreeMap<&'static str, f64>,
-    hists: BTreeMap<&'static str, Histogram>,
+    counters: Slots<u64>,
+    fcounters: Slots<f64>,
+    hists: Slots<Histogram>,
     /// `None` = unbounded. Long-running servers cap span retention; counters
     /// and histograms are O(names) and never capped.
     span_cap: Option<usize>,
@@ -62,27 +92,27 @@ impl MemRecorder {
 
     /// Current value of a counter (0 when never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        find(&self.counters, name).copied().unwrap_or(0)
     }
 
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&'static str, u64)> + '_ {
-        self.counters.iter().map(|(&k, &v)| (k, v))
+        self.counters.iter().copied()
     }
 
     /// Current value of a fractional counter (0.0 when never touched).
     pub fn fcounter(&self, name: &str) -> f64 {
-        self.fcounters.get(name).copied().unwrap_or(0.0)
+        find(&self.fcounters, name).copied().unwrap_or(0.0)
     }
 
     /// All fractional counters in name order.
     pub fn fcounters(&self) -> impl Iterator<Item = (&'static str, f64)> + '_ {
-        self.fcounters.iter().map(|(&k, &v)| (k, v))
+        self.fcounters.iter().copied()
     }
 
     /// A histogram by name.
     pub fn hist(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
+        find(&self.hists, name)
     }
 
     /// The event stream as JSON lines: spans in call order, then counters,
@@ -102,7 +132,7 @@ impl MemRecorder {
             out.push_str(&line.to_string_compact());
             out.push('\n');
         }
-        for (&name, &value) in &self.counters {
+        for &(name, value) in &self.counters {
             let line = mocha_json::jobj! {
                 "event" => "counter",
                 "name" => name,
@@ -111,7 +141,7 @@ impl MemRecorder {
             out.push_str(&line.to_string_compact());
             out.push('\n');
         }
-        for (&name, &value) in &self.fcounters {
+        for &(name, value) in &self.fcounters {
             let line = mocha_json::jobj! {
                 "event" => "fcounter",
                 "name" => name,
@@ -120,7 +150,7 @@ impl MemRecorder {
             out.push_str(&line.to_string_compact());
             out.push('\n');
         }
-        for (&name, hist) in &self.hists {
+        for &(name, ref hist) in &self.hists {
             let mut line = mocha_json::jobj! {
                 "event" => "hist",
                 "name" => name,
@@ -160,14 +190,14 @@ impl MemRecorder {
             }
         }
         self.spans_dropped += other.spans_dropped;
-        for (&name, &v) in &other.counters {
-            *self.counters.entry(name).or_insert(0) += v;
+        for &(name, v) in &other.counters {
+            *slot(&mut self.counters, name) += v;
         }
-        for (&name, &v) in &other.fcounters {
-            *self.fcounters.entry(name).or_insert(0.0) += v;
+        for &(name, v) in &other.fcounters {
+            *slot(&mut self.fcounters, name) += v;
         }
-        for (&name, h) in &other.hists {
-            self.hists.entry(name).or_default().merge(h);
+        for (name, h) in &other.hists {
+            slot(&mut self.hists, name).merge(h);
         }
     }
 
@@ -177,8 +207,8 @@ impl MemRecorder {
     /// histograms into the long-lived stats recorder without
     /// double-counting the counters the front-end re-records itself.
     pub fn absorb_hist(&mut self, name: &'static str, other: &MemRecorder) {
-        if let Some(h) = other.hists.get(name) {
-            self.hists.entry(name).or_default().merge(h);
+        if let Some(h) = find(&other.hists, name) {
+            slot(&mut self.hists, name).merge(h);
         }
     }
 
@@ -189,17 +219,17 @@ impl MemRecorder {
         let counters: BTreeMap<String, Value> = self
             .counters
             .iter()
-            .map(|(&k, &v)| (k.to_string(), Value::Num(v as f64)))
+            .map(|&(k, v)| (k.to_string(), Value::Num(v as f64)))
             .collect();
         let fcounters: BTreeMap<String, Value> = self
             .fcounters
             .iter()
-            .map(|(&k, &v)| (k.to_string(), Value::Num(v)))
+            .map(|&(k, v)| (k.to_string(), Value::Num(v)))
             .collect();
         let hists: BTreeMap<String, Value> = self
             .hists
             .iter()
-            .map(|(&k, h)| (k.to_string(), h.summary_json()))
+            .map(|(k, h)| (k.to_string(), h.summary_json()))
             .collect();
         mocha_json::jobj! {
             "counters" => Value::Obj(counters),
@@ -225,15 +255,15 @@ impl Recorder for MemRecorder {
     }
 
     fn add(&mut self, name: &'static str, delta: u64) {
-        *self.counters.entry(name).or_insert(0) += delta;
+        *slot(&mut self.counters, name) += delta;
     }
 
     fn add_f64(&mut self, name: &'static str, delta: f64) {
-        *self.fcounters.entry(name).or_insert(0.0) += delta;
+        *slot(&mut self.fcounters, name) += delta;
     }
 
     fn sample(&mut self, name: &'static str, value: u64) {
-        self.hists.entry(name).or_default().record(value);
+        slot(&mut self.hists, name).record(value);
     }
 }
 
@@ -404,6 +434,23 @@ mod tests {
             dst.hist("not.recorded").is_none(),
             "absent source hist is a no-op"
         );
+    }
+
+    #[test]
+    fn one_name_at_two_addresses_shares_one_slot() {
+        // A copy of the name at another address finds the slot by string.
+        let copy: &'static str = Box::leak(String::from("core.group_cycles").into_boxed_str());
+        let mut r = sample_recorder();
+        r.sample(copy, 10);
+        r.add(
+            Box::leak(String::from("fabric.dram_bursts").into_boxed_str()),
+            1,
+        );
+        assert_eq!(r.hist("core.group_cycles").map(Histogram::count), Some(3));
+        assert_eq!(r.counter("fabric.dram_bursts"), 8);
+        let text = r.to_jsonl();
+        assert_eq!(text.matches("\"core.group_cycles\"").count(), 1);
+        assert_eq!(text.matches("\"fabric.dram_bursts\"").count(), 1);
     }
 
     #[test]

@@ -741,6 +741,22 @@ fn run_impl<R: Recorder>(
         }
     }
 
+    // Conservation: every submission arrived and left exactly once, either
+    // finished (one report, unique id) or failed; nothing is still queued
+    // or resident.
+    debug_assert_eq!(next_sub, submissions.len());
+    debug_assert!(queue.is_empty() && resident.is_empty());
+    debug_assert_eq!(done.len() + failed_jobs, submissions.len());
+    debug_assert!(retried_jobs <= submissions.len() && failed_jobs <= submissions.len());
+    debug_assert!(
+        {
+            let mut ids: Vec<JobId> = done.iter().map(|j| j.id).collect();
+            ids.sort_unstable();
+            ids.dedup();
+            ids.len() == done.len() && ids.iter().all(|&id| id < submissions.len() as JobId)
+        },
+        "each submission reports at most once"
+    );
     done.sort_by_key(|j| (j.finished, j.id));
     let leased_pe_cycles: f64 = done.iter().map(|j| j.leased_pe_cycles).sum();
     RuntimeReport {
