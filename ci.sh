@@ -237,6 +237,26 @@ hist_smoke "$obs_tmp" | cmp - baselines/hist-smoke.txt || {
     echo "histogram summaries differ from baselines/hist-smoke.txt"; exit 1
 }
 
+echo "== open-loop report pin (vs committed baselines/openloop-report.txt)"
+# Both open-loop report shapes, text and --json, with faults, deadline
+# shedding and routing in play so every report field is nonzero, must stay
+# byte-identical to the baseline generated before the fleet report folded
+# into the single-fabric one. Regenerate with (from the repo root, after
+# the release build):
+#   openloop_pin target/release/mocha-sim > baselines/openloop-report.txt
+openloop_pin() {
+    local common=(--requests 2000 --tenants 100 --load 3.0 --seed 7
+        --faults rate=40,seed=5,transient=0.3 --shed-policy deadline --slo 400000)
+    local fleet=(fleet --open-loop --fleet preset=quad/preset=mocha,count=2 --route p2c)
+    "$1" serve --open-loop "${common[@]}"
+    "$1" serve --open-loop "${common[@]}" --json
+    "$1" "${fleet[@]}" "${common[@]}"
+    "$1" "${fleet[@]}" "${common[@]}" --json
+}
+openloop_pin target/release/mocha-sim | cmp - baselines/openloop-report.txt || {
+    echo "open-loop reports differ from baselines/openloop-report.txt"; exit 1
+}
+
 echo "== one open-loop front end (serve --open-loop --fleet == fleet --open-loop)"
 # Both entry points run the same open-loop path in fleet mode, so the
 # matrix's fleet open-loop row must replay byte-for-byte through `serve`.

@@ -124,10 +124,10 @@ pub fn run(cfg: &ExpConfig) -> String {
         (rate, route, report)
     });
 
-    for (rate, _, r) in &reports {
+    for (rate, route, r) in &reports {
         t.row(vec![
             f(*rate, 2),
-            r.route.clone(),
+            route.name().to_string(),
             r.completed.to_string(),
             r.failed.to_string(),
             r.in_slo.to_string(),

@@ -32,15 +32,15 @@ use mocha::runtime::{self, DecisionCache, JobSpec, RuntimeConfig, RuntimeReport,
 use mocha::serve::{
     read_line_capped, run_open_loop, serve_reactor, traffic, windows_from_open_loop,
     windows_from_runtime, BatchHandler, Calibration, ClientBatch, LineRead, OpenLoopParams,
-    ReactorConfig, Request, RequestOutcome, ShedPolicy, MAX_LINE_BYTES,
+    OpenLoopReport, ReactorConfig, Request, RequestOutcome, ShedPolicy, MAX_LINE_BYTES,
 };
 use mocha_json::ToJson;
 use std::collections::BTreeMap;
 
-/// Span retention cap for the server's always-on recorder: counters and
-/// histograms are O(names) and never capped, but spans grow with traffic,
-/// so a long-running server keeps the first ~100k and counts the rest in
-/// `spans_dropped`.
+/// Span retention cap for the server's always-on recorder and for both
+/// open-loop modes: counters and histograms are O(names) and never capped,
+/// but spans grow with traffic, so the recorder keeps the first ~100k and
+/// counts the rest in `spans_dropped`.
 const SERVE_SPAN_CAP: usize = 100_000;
 
 /// Windowed telemetry for a long-running server (`--metrics-window`).
@@ -752,42 +752,10 @@ pub(crate) fn open_loop(args: &Args, fleet: bool) -> i32 {
     }
 }
 
-/// Writes the text-report lines both open-loop engines share (their
-/// reports name the aggregates alike): the admission tally, the mode's
-/// `$extra` lines, the fault tally when `$faults`, and goodput and latency.
-macro_rules! open_loop_tally {
-    ($out:expr, $r:expr, $extra:expr, $faults:expr) => {{
-        let (out, r) = (&mut $out, &$r);
-        let _ = writeln!(
-            out,
-            "  admitted {} | shed {} | completed {} | failed {} | in-SLO {} | misses {}",
-            r.admitted, r.shed, r.completed, r.failed, r.in_slo, r.deadline_misses,
-        );
-        out.push_str($extra);
-        if $faults {
-            let _ = writeln!(
-                out,
-                "  faults: {} injected | {} quarantined | {} cycles lost",
-                r.faults_injected, r.quarantined, r.lost_cycles,
-            );
-        }
-        let _ = writeln!(
-            out,
-            "  goodput {:.3} /Mcycle | p50 {} p95 {} p99 {} cycles | mean wait {:.0} | util {:.1} %",
-            r.goodput_per_mcycle(),
-            r.latency_percentile(50.0),
-            r.latency_percentile(95.0),
-            r.latency_percentile(99.0),
-            r.mean_queue_wait,
-            100.0 * r.utilization(),
-        );
-    }};
-}
-
 /// The open-loop sweep behind [`open_loop`]: the shared flags, the trace,
-/// calibration and the `--metrics` export run once; only the engine and
-/// the report text depend on the mode. Returns the report text and the
-/// recorder for the `--obs` sink.
+/// calibration, the recorder, the report text and the `--metrics` export
+/// run once; only the engine call depends on the mode. Returns the report
+/// text and the recorder for the `--obs` sink.
 fn sweep(args: &Args, fleet_mode: bool) -> Result<(String, MemRecorder), String> {
     let metrics = metrics_flags(args)?;
     // Single-fabric mode is the one-shard fleet: strict admits `--fabric`
@@ -843,10 +811,8 @@ fn sweep(args: &Args, fleet_mode: bool) -> Result<(String, MemRecorder), String>
         .map(|cal| requests.iter().map(|r| cal.service(&r.spec)).collect())
         .collect();
     let record_spans = args.flag("obs");
-
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let (mut rec, outcomes, fault_log) = if fleet_mode {
+    let mut rec = MemRecorder::with_span_cap(SERVE_SPAN_CAP);
+    let (report, outcomes) = if fleet_mode {
         let params = FleetOpenLoopParams {
             fleet: &fleet,
             slots,
@@ -857,56 +823,7 @@ fn sweep(args: &Args, fleet_mode: bool) -> Result<(String, MemRecorder), String>
             cold_penalty: args.opt_u64("cold-penalty", 0),
             record_spans,
         };
-        let mut rec = MemRecorder::new();
-        let (report, outcomes) = run_fleet_open_loop(&params, &requests, &services, &mut rec);
-        if args.flag("json") {
-            let _ = writeln!(out, "{}", report.to_json().to_string_pretty());
-        } else {
-            let _ = writeln!(
-                out,
-                "fleet open-loop ({label}): {} requests over {} shard(s), route {}, policy {}",
-                report.offered,
-                report.shards.len(),
-                report.route,
-                report.policy,
-            );
-            let routing = format!(
-                "  routing: {} rebalanced | {} cold | {} warm\n",
-                report.rebalanced, report.cold_misses, report.warm_hits,
-            );
-            open_loop_tally!(out, report, &routing, faults.is_some());
-            let _ = writeln!(
-                out,
-                "  {:>5} {:<12} {:>7} {:>7} {:>5} {:>9} {:>7} {:>7} {:>7} {:>10}",
-                "shard",
-                "fabric",
-                "servers",
-                "routed",
-                "shed",
-                "completed",
-                "failed",
-                "reb-in",
-                "reb-out",
-                "p99"
-            );
-            for (i, s) in report.shards.iter().enumerate() {
-                let _ = writeln!(
-                    out,
-                    "  {:>5} {:<12} {:>7} {:>7} {:>5} {:>9} {:>7} {:>7} {:>7} {:>10}",
-                    i,
-                    s.label,
-                    s.servers,
-                    s.routed,
-                    s.shed,
-                    s.completed,
-                    s.failed,
-                    s.rebalanced_in,
-                    s.rebalanced_out,
-                    s.latency_percentile(99.0),
-                );
-            }
-        }
-        (rec, outcomes, report.fault_log)
+        run_fleet_open_loop(&params, &requests, &services, &mut rec)
     } else {
         let params = OpenLoopParams {
             fabric: &fleet.shards()[0].fabric,
@@ -915,23 +832,16 @@ fn sweep(args: &Args, fleet_mode: bool) -> Result<(String, MemRecorder), String>
             faults: faults.as_ref(),
             record_spans,
         };
-        let mut rec = MemRecorder::with_span_cap(SERVE_SPAN_CAP);
-        let (report, outcomes) = run_open_loop(&params, &requests, &services[0], &mut rec);
-        if args.flag("json") {
-            let _ = writeln!(out, "{}", report.to_json().to_string_pretty());
-        } else {
-            let _ = writeln!(
-                out,
-                "open-loop ({label}): {} requests on {} slots, policy {}",
-                report.offered, report.servers, report.policy,
-            );
-            open_loop_tally!(out, report, "", faults.is_some());
-        }
-        (rec, outcomes, report.fault_log)
+        run_open_loop(&params, &requests, &services[0], &mut rec)
+    };
+    let out = if args.flag("json") {
+        format!("{}\n", report.to_json().to_string_pretty())
+    } else {
+        open_loop_text(&label, &report, faults.is_some())
     };
 
     if let Some((spec, path)) = metrics {
-        let m = windows_from_open_loop(spec, &requests, &outcomes, &fault_log, shed);
+        let m = windows_from_open_loop(spec, &requests, &outcomes, &report.fault_log, shed);
         write_windows(&m, &path)?;
         // SLO alerts also land in the obs stream (counter + spans) so the
         // trace tooling sees them without parsing the metrics file.
@@ -940,6 +850,90 @@ fn sweep(args: &Args, fleet_mode: bool) -> Result<(String, MemRecorder), String>
         }
     }
     Ok((out, rec))
+}
+
+/// The open-loop text report: the header, the admission tally, the fault
+/// tally when `faults`, goodput and latency; a fleet run adds its routing
+/// line and per-shard table.
+fn open_loop_text(label: &str, r: &OpenLoopReport, faults: bool) -> String {
+    use std::fmt::Write as _;
+    let mut out = String::new();
+    let _ = match r.route {
+        Some(route) => writeln!(
+            out,
+            "fleet open-loop ({label}): {} requests over {} shard(s), route {route}, policy {}",
+            r.offered,
+            r.shards.len(),
+            r.policy,
+        ),
+        None => writeln!(
+            out,
+            "open-loop ({label}): {} requests on {} slots, policy {}",
+            r.offered, r.servers, r.policy,
+        ),
+    };
+    let _ = writeln!(
+        out,
+        "  admitted {} | shed {} | completed {} | failed {} | in-SLO {} | misses {}",
+        r.admitted, r.shed, r.completed, r.failed, r.in_slo, r.deadline_misses,
+    );
+    if r.route.is_some() {
+        let _ = writeln!(
+            out,
+            "  routing: {} rebalanced | {} cold | {} warm",
+            r.rebalanced, r.cold_misses, r.warm_hits,
+        );
+    }
+    if faults {
+        let _ = writeln!(
+            out,
+            "  faults: {} injected | {} quarantined | {} cycles lost",
+            r.faults_injected, r.quarantined, r.lost_cycles,
+        );
+    }
+    let _ = writeln!(
+        out,
+        "  goodput {:.3} /Mcycle | p50 {} p95 {} p99 {} cycles | mean wait {:.0} | util {:.1} %",
+        r.goodput_per_mcycle(),
+        r.latency_percentile(50.0),
+        r.latency_percentile(95.0),
+        r.latency_percentile(99.0),
+        r.mean_queue_wait,
+        100.0 * r.utilization(),
+    );
+    if r.route.is_some() {
+        let _ = writeln!(
+            out,
+            "  {:>5} {:<12} {:>7} {:>7} {:>5} {:>9} {:>7} {:>7} {:>7} {:>10}",
+            "shard",
+            "fabric",
+            "servers",
+            "routed",
+            "shed",
+            "completed",
+            "failed",
+            "reb-in",
+            "reb-out",
+            "p99"
+        );
+        for (i, s) in r.shards.iter().enumerate() {
+            let _ = writeln!(
+                out,
+                "  {:>5} {:<12} {:>7} {:>7} {:>5} {:>9} {:>7} {:>7} {:>7} {:>10}",
+                i,
+                s.label,
+                s.servers,
+                s.routed,
+                s.shed,
+                s.completed,
+                s.failed,
+                s.rebalanced_in,
+                s.rebalanced_out,
+                s.latency_percentile(99.0),
+            );
+        }
+    }
+    out
 }
 
 /// Writes a windowed `--metrics` export, refusing one past the window cap.

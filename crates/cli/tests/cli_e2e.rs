@@ -1783,7 +1783,7 @@ fn fleet_open_loop_conserves_jobs_and_is_byte_identical_across_thread_counts() {
     let dir = std::env::temp_dir();
     let mut runs = Vec::new();
     for threads in ["1", "2", "8"] {
-        let obs = dir.join(format!("mocha_fleet_e2e_{threads}.jsonl"));
+        let obs = dir.join(format!("mocha_sim_fleet_e2e_{threads}.jsonl"));
         let out = mocha_sim(&[
             "fleet",
             "--open-loop",
@@ -1874,8 +1874,8 @@ fn fleet_open_loop_conserves_jobs_and_is_byte_identical_across_thread_counts() {
 #[test]
 fn fleet_of_one_with_zero_faults_matches_runtime_byte_for_byte() {
     let dir = std::env::temp_dir();
-    let solo_obs = dir.join("mocha_fleet1_solo_e2e.jsonl");
-    let fleet_obs = dir.join("mocha_fleet1_fleet_e2e.jsonl");
+    let solo_obs = dir.join("mocha_sim_fleet1_solo_e2e.jsonl");
+    let fleet_obs = dir.join("mocha_sim_fleet1_fleet_e2e.jsonl");
     let solo = mocha_sim(&[
         "runtime",
         "--jobs",
@@ -2126,4 +2126,31 @@ fn serve_and_fleet_open_loop_entry_points_are_byte_identical() {
         assert!(!serve.2[0].is_empty() && !serve.2[1].is_empty());
         assert_eq!(serve, fleet, "json = {json}");
     }
+}
+
+#[test]
+fn fleet_open_loop_obs_keeps_the_server_span_cap() {
+    // `SERVE_SPAN_CAP` in crates/cli/src/serve.rs: both open-loop modes
+    // keep the first 100 000 spans and count the rest as dropped.
+    const SERVE_SPAN_CAP: usize = 100_000;
+    let out = mocha_sim(&[
+        "fleet",
+        "--open-loop",
+        "--requests",
+        "100500",
+        "--load",
+        "0.3",
+        "--seed",
+        "3",
+        "--obs",
+        "-",
+    ]);
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let report = stderr(&out);
+    assert!(report.contains("completed 100500"), "{report}");
+    let spans = stdout(&out)
+        .lines()
+        .filter(|l| l.contains("\"event\":\"span\""))
+        .count();
+    assert_eq!(spans, SERVE_SPAN_CAP);
 }

@@ -32,10 +32,10 @@
 //! * [`serve`] — the serving tier above `runtime`: a deterministic TCP
 //!   reactor multiplexing concurrent clients, service-time calibration,
 //!   SLO-aware load shedding, and seeded heavy-tailed open-loop traffic;
-//! * [`fleet`] — the fleet layer above `runtime`/`serve`: N heterogeneous
-//!   fabric instances behind one deterministic router (round-robin,
-//!   locality-aware, power-of-two-choices), with per-shard fault domains
-//!   and quarantine-triggered re-balancing;
+//! * [`fleet`] — the fleet layer inside `serve`, re-exported as one
+//!   module: N heterogeneous fabric instances behind one deterministic
+//!   router (round-robin, locality-aware, power-of-two-choices), with
+//!   per-shard fault domains and quarantine-triggered re-balancing;
 //! * [`engine`] — the deterministic parallel execution engine: a fixed-size
 //!   worker pool whose canonical-order reduction keeps every output
 //!   byte-identical across worker counts;
@@ -72,12 +72,32 @@ pub use mocha_energy as energy;
 pub use mocha_engine as engine;
 pub use mocha_fabric as fabric;
 pub use mocha_fault as fault;
-pub use mocha_fleet as fleet;
 pub use mocha_model as model;
 pub use mocha_obs as obs;
 pub use mocha_runtime as runtime;
 pub use mocha_serve as serve;
 pub use mocha_trace as trace;
+
+/// The fleet layer: N heterogeneous fabric instances behind one
+/// deterministic router, served by [`crate::serve`]'s open-loop engine and batch
+/// path.
+pub mod fleet {
+    pub use mocha_serve::{batch, route, spec};
+    pub use mocha_serve::{
+        route_batch, run_fleet, run_fleet_open_loop, shard_seed, FleetBatchReport, FleetConfig,
+        FleetOpenLoopParams, FleetShardRun, FleetSpec, RouteKind, RoutePolicy, ShardSpec,
+        ShardView, MAX_SHARDS,
+    };
+
+    /// The open-loop report: a fleet run fills the same
+    /// [`OpenLoopReport`](mocha_serve::OpenLoopReport) as a single fabric.
+    /// The alias exists for source compatibility.
+    pub use mocha_serve::OpenLoopReport as FleetOpenLoopReport;
+
+    /// Per-shard tallies of an open-loop run. The alias exists for source
+    /// compatibility.
+    pub use mocha_serve::ShardStats as FleetShardStats;
+}
 
 /// The commonly-used API surface in one import.
 pub mod prelude {

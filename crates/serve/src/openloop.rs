@@ -8,11 +8,12 @@
 //! what R3 studies — queueing delay, deadline misses, shed rate, goodput —
 //! and the calibration ties its service times to the real simulator.
 //!
-//! One engine, [`run_shards`], serves both front ends. [`run_open_loop`] is
-//! its one-shard case: one fabric, no routing, no cold penalty.
-//! `mocha-fleet` runs it over N heterogeneous shards, routing each arrival
-//! with a [`RoutePolicy`]; with routing on, the first job of a template on
-//! a shard pays a cold decision-cache penalty.
+//! One engine serves both front ends and fills one [`OpenLoopReport`].
+//! [`run_open_loop`] is its one-shard case: one fabric, no routing, no cold
+//! penalty. [`run_fleet_open_loop`] runs it over the N heterogeneous shards
+//! of a [`FleetSpec`], routing each arrival with a [`RoutePolicy`]; with
+//! routing on, the first job of a template on a shard pays a cold
+//! decision-cache penalty.
 //!
 //! Faults compose as in the runtime: each shard's seeded [`FaultTimeline`]
 //! interleaves with arrivals; a fault on a busy slot discards the attempt
@@ -21,6 +22,8 @@
 //! clears its template warmth and evicts excess slots, whose residents are
 //! re-homed through the router. Fewer slots ⇒ later predicted starts ⇒
 //! more sheds: shedding reacts to capacity loss with no extra coupling.
+//! Shard `s` of a fleet runs the fault plan with its seed stepped by
+//! [`shard_seed`], so fault domains are independent.
 //!
 //! A run is a sequential pure function of `(trace, services, policies,
 //! fault plans)`: byte-identical at any worker count, which is what lets
@@ -36,7 +39,9 @@ use mocha_obs::{names, nearest_rank, Recorder};
 use mocha_runtime::lease;
 use mocha_runtime::scheduler::kind_counter;
 
+use crate::route::{template_ids, RouteKind, RoutePolicy, ShardView};
 use crate::shed::ShedPolicy;
+use crate::spec::{shard_seed, FleetSpec};
 use crate::traffic::Request;
 
 /// Open-loop simulation parameters.
@@ -53,6 +58,30 @@ pub struct OpenLoopParams<'a> {
     pub faults: Option<&'a FaultPlan>,
     /// Record per-request `job/<idx>` spans and `fault/<kind>` lost-work
     /// spans (queue-depth and latency histograms are always recorded).
+    pub record_spans: bool,
+}
+
+/// Fleet open-loop simulation parameters.
+pub struct FleetOpenLoopParams<'a> {
+    /// The fleet: per-shard fabric geometry in canonical order.
+    pub fleet: &'a FleetSpec,
+    /// Requested tenant slots per shard (clamped per shard to what that
+    /// fabric can host).
+    pub slots: usize,
+    /// Admission-control policy, applied on the routed shard.
+    pub shed: ShedPolicy,
+    /// Routing policy.
+    pub route: RouteKind,
+    /// Seed for stochastic routing policies (p2c).
+    pub route_seed: u64,
+    /// Optional per-shard fault schedule. Shard `s` runs the plan with its
+    /// seed stepped by [`shard_seed`], so fault domains are independent.
+    pub faults: Option<&'a FaultPlan>,
+    /// Extra cycles the first job of a template pays on a shard whose
+    /// decision cache has never seen that template.
+    pub cold_penalty: u64,
+    /// Record per-request `fleet/shard<s>/job/<idx>` spans and
+    /// `fleet/shard<s>/fault/<kind>` lost-work spans.
     pub record_spans: bool,
 }
 
@@ -75,16 +104,20 @@ pub enum RequestOutcome {
     },
 }
 
-/// Aggregate outcome of one open-loop run.
-#[derive(Debug, Clone, PartialEq)]
+/// Aggregate outcome of one open-loop run, on one fabric or over a fleet.
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct OpenLoopReport {
+    /// Routing policy name; `None` on a single fabric.
+    pub route: Option<&'static str>,
     /// Shed policy name.
     pub policy: String,
-    /// Tenant slots the run started with.
+    /// Tenant slots the run started with, summed over shards.
     pub servers: usize,
+    /// Per-shard tallies in canonical shard order (one on a single fabric).
+    pub shards: Vec<ShardStats>,
     /// Requests offered by the trace.
     pub offered: usize,
-    /// Requests admitted past the shed gate.
+    /// Requests admitted past the shed gate (on their routed shard).
     pub admitted: usize,
     /// Requests shed at admission.
     pub shed: usize,
@@ -97,29 +130,45 @@ pub struct OpenLoopReport {
     /// Completions within their deadline (all completions when a request
     /// has no deadline).
     pub in_slo: usize,
+    /// Cross-shard migrations triggered by quarantines.
+    pub rebalanced: usize,
+    /// Admissions that paid the cold penalty (0 without routing).
+    pub cold_misses: usize,
+    /// Admissions onto a warm (template, shard) pair (0 without routing).
+    pub warm_hits: usize,
     /// Last simulated cycle (max of arrivals and completions).
     pub horizon: u64,
     /// Slot-cycles spent on successful service attempts.
     pub busy_cycles: u64,
     /// Slot-cycles discarded to faults (interrupted attempts).
     pub lost_cycles: u64,
-    /// Fault events drawn from the timeline.
+    /// Fault events drawn across all shard timelines.
     pub faults_injected: usize,
-    /// Permanent faults admitted into quarantine.
+    /// Permanent faults admitted into quarantine across all shards.
     pub quarantined: usize,
     /// Mean first-start queue wait over completions, cycles.
     pub mean_queue_wait: f64,
-    /// Every fault event drawn, in injection order: `(cycle, kind name)`.
-    /// Feeds the fault-kind dimension of windowed telemetry; not part of
-    /// the JSON report (which keeps its pre-telemetry byte shape).
+    /// Every fault event drawn, sorted by `(cycle, shard)`: `(cycle, kind
+    /// name)`. Feeds the fault-kind dimension of windowed telemetry; not
+    /// part of the JSON report (which keeps its pre-telemetry byte shape).
     pub fault_log: Vec<(u64, &'static str)>,
-    latencies: Vec<u64>, // sorted
+    /// Latencies merged over shards, sorted; empty with one shard, whose
+    /// own sorted latencies serve instead.
+    merged: Vec<u64>,
 }
 
 impl OpenLoopReport {
+    /// Completion latencies over every shard, sorted.
+    fn latencies(&self) -> &[u64] {
+        match self.shards.as_slice() {
+            [only] => only.latencies(),
+            _ => &self.merged,
+        }
+    }
+
     /// Nearest-rank latency percentile over completions (0 when none).
     pub fn latency_percentile(&self, p: f64) -> u64 {
-        nearest_rank(&self.latencies, p)
+        nearest_rank(self.latencies(), p)
     }
 
     /// In-SLO completions per million cycles of horizon — the goodput R3
@@ -142,11 +191,11 @@ impl OpenLoopReport {
 }
 
 impl ToJson for OpenLoopReport {
+    /// The shared aggregates, plus `open_loop`/`servers` on a single
+    /// fabric or the fleet's routing keys and shard table.
     fn to_json(&self) -> Value {
-        mocha_json::jobj! {
-            "open_loop" => true,
+        let shared = mocha_json::jobj! {
             "policy" => self.policy.as_str(),
-            "servers" => self.servers as u64,
             "offered" => self.offered as u64,
             "admitted" => self.admitted as u64,
             "shed" => self.shed as u64,
@@ -165,6 +214,18 @@ impl ToJson for OpenLoopReport {
             "latency_p99" => self.latency_percentile(99.0),
             "mean_queue_wait" => self.mean_queue_wait,
             "utilization" => self.utilization(),
+        };
+        match self.route {
+            None => shared
+                .with("open_loop", true)
+                .with("servers", self.servers as u64),
+            Some(route) => shared
+                .with("fleet", true)
+                .with("route", route)
+                .with("shards", &self.shards)
+                .with("rebalanced", self.rebalanced as u64)
+                .with("cold_misses", self.cold_misses as u64)
+                .with("warm_hits", self.warm_hits as u64),
         }
     }
 }
@@ -184,7 +245,6 @@ pub fn run_open_loop<R: Recorder>(
         fabric: *p.fabric,
         services,
         faults: p.faults.map(|plan| FaultTimeline::new(plan, p.fabric)),
-        span_root: String::new(),
     };
     let setup = EngineSetup {
         shards: vec![shard],
@@ -192,110 +252,88 @@ pub fn run_open_loop<R: Recorder>(
         shed: p.shed,
         max_retries: p.faults.map_or(0, |plan| plan.max_retries),
         record_spans: p.record_spans,
-        depth_hists: &[names::HIST_SERVE_QUEUE_DEPTH],
         routing: None,
         cold_penalty: 0,
     };
-    let (mut run, outcomes) = run_shards(setup, requests, rec);
-    let shard = run.shards.pop().expect("one shard in, one shard out");
-    let report = OpenLoopReport {
-        policy: p.shed.name(),
-        servers: shard.servers,
-        offered: requests.len(),
-        admitted: run.admitted,
-        shed: run.shed,
-        completed: run.completed,
-        failed: run.failed,
-        deadline_misses: run.deadline_misses,
-        in_slo: run.in_slo,
-        horizon: run.horizon,
-        busy_cycles: shard.busy_cycles,
-        lost_cycles: shard.lost_cycles,
-        faults_injected: shard.faults_injected,
-        quarantined: shard.quarantined,
-        mean_queue_wait: run.mean_queue_wait,
-        fault_log: run.fault_log,
-        latencies: shard.latencies,
-    };
-    (report, outcomes)
+    run_shards(setup, requests, rec)
 }
 
-/// Instantaneous view of one shard, passed to [`RoutePolicy::route`] in
-/// canonical shard order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ShardView {
-    /// Jobs admitted to the shard but not yet started.
-    pub depth: usize,
-    /// Estimated backlog in cycles (service estimate of everything queued).
-    pub backlog: u64,
-}
-
-/// A routing policy. `template` identifies the job's shape class (index
-/// into the workload's template table) so locality-aware policies can track
-/// per-shard warmth.
-pub trait RoutePolicy {
-    /// Stable policy name, as printed in reports and parsed by the CLI.
-    fn name(&self) -> &'static str;
-    /// Pick a shard for the next job. `views.len()` is the fleet size and
-    /// is always ≥ 1; the returned index must be `< views.len()`.
-    fn route(&mut self, template: usize, views: &[ShardView]) -> usize;
-    /// A shard was quarantined: drop any affinity state for it so future
-    /// jobs do not chase a cold (or dead) cache.
-    fn forget_shard(&mut self, shard: usize);
-}
-
-/// Derives each request's template index: requests sharing `(network,
-/// profile)` share an index, numbered in first-appearance order.
-pub fn template_ids(requests: &[Request]) -> Vec<usize> {
-    let mut keys: Vec<(&str, &str)> = Vec::new();
-    requests
+/// Runs the fleet open-loop simulation. `services[s][i]` is the calibrated
+/// service time of request `i` on shard `s` (see
+/// [`FleetSpec::calibrate`]). Returns the aggregate report and the
+/// per-request outcomes in trace order.
+pub fn run_fleet_open_loop<R: Recorder>(
+    p: &FleetOpenLoopParams,
+    requests: &[Request],
+    services: &[Vec<u64>],
+    rec: &mut R,
+) -> (OpenLoopReport, Vec<RequestOutcome>) {
+    assert_eq!(services.len(), p.fleet.len(), "one service table per shard");
+    let shards = p
+        .fleet
+        .shards()
         .iter()
-        .map(|r| {
-            let k = (r.spec.network.as_str(), r.spec.profile.as_str());
-            keys.iter().position(|x| *x == k).unwrap_or_else(|| {
-                keys.push(k);
-                keys.len() - 1
-            })
+        .zip(services)
+        .enumerate()
+        .map(|(s, (shard, services))| ShardSetup {
+            label: shard.label.clone(),
+            fabric: shard.fabric,
+            services,
+            faults: p.faults.map(|plan| {
+                let per_shard = FaultPlan {
+                    seed: shard_seed(plan.seed, s),
+                    ..plan.clone()
+                };
+                FaultTimeline::new(&per_shard, &shard.fabric)
+            }),
         })
-        .collect()
+        .collect();
+    let setup = EngineSetup {
+        shards,
+        slots: p.slots,
+        shed: p.shed,
+        max_retries: p.faults.map_or(0, |plan| plan.max_retries),
+        record_spans: p.record_spans,
+        routing: Some(p.route.policy(p.fleet.len(), p.route_seed)),
+        cold_penalty: p.cold_penalty,
+    };
+    run_shards(setup, requests, rec)
 }
 
 /// One shard of an engine run.
-pub struct ShardSetup<'a> {
+struct ShardSetup<'a> {
     /// Label carried into the shard's [`ShardStats`].
-    pub label: String,
+    label: String,
     /// Geometry the shard's tenant slots are carved from.
-    pub fabric: FabricConfig,
+    fabric: FabricConfig,
     /// Calibrated service time of every request on this shard.
-    pub services: &'a [u64],
+    services: &'a [u64],
     /// This shard's fault schedule, if any.
-    pub faults: Option<FaultTimeline>,
-    /// Prefix of the shard's `job/<idx>` and `fault/<kind>` span paths.
-    pub span_root: String,
+    faults: Option<FaultTimeline>,
 }
 
 /// Everything one engine run needs besides the trace.
-pub struct EngineSetup<'a> {
+struct EngineSetup<'a> {
     /// The shards, in canonical order.
-    pub shards: Vec<ShardSetup<'a>>,
+    shards: Vec<ShardSetup<'a>>,
     /// Requested tenant slots per shard (clamped per shard to what its
     /// fabric can host).
-    pub slots: usize,
+    slots: usize,
     /// Admission-control policy, applied on the routed shard.
-    pub shed: ShedPolicy,
+    shed: ShedPolicy,
     /// Attempts a job may lose to faults before it fails.
-    pub max_retries: usize,
+    max_retries: usize,
     /// Record per-request job spans and lost-work fault spans.
-    pub record_spans: bool,
-    /// Histograms that sample the routed shard's queue depth per arrival.
-    pub depth_hists: &'a [&'static str],
+    record_spans: bool,
     /// Picks each arrival's shard and re-homes jobs evicted by quarantine
     /// (consulted only with more than one shard), and turns on template
-    /// warmth. `None` sends every arrival to the only shard.
-    pub routing: Option<Box<dyn RoutePolicy>>,
+    /// warmth, the `fleet/shard<s>/` span roots, the per-shard depth
+    /// histogram and the `fleet.*` totals. `None` sends every arrival to
+    /// the only shard.
+    routing: Option<Box<dyn RoutePolicy>>,
     /// Extra cycles a template's first admission on a shard pays; charged
     /// only with routing.
-    pub cold_penalty: u64,
+    cold_penalty: u64,
 }
 
 /// Per-shard tallies of one engine run, in canonical shard order.
@@ -372,39 +410,6 @@ impl ToJson for ShardStats {
     }
 }
 
-/// Aggregate outcome of one engine run.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct EngineRun {
-    /// Per-shard tallies, in canonical shard order.
-    pub shards: Vec<ShardStats>,
-    /// Requests admitted past the shed gate.
-    pub admitted: usize,
-    /// Requests shed at admission.
-    pub shed: usize,
-    /// Admitted requests that completed.
-    pub completed: usize,
-    /// Admitted requests dropped after exhausting fault retries.
-    pub failed: usize,
-    /// Completions past their deadline.
-    pub deadline_misses: usize,
-    /// Completions within their deadline.
-    pub in_slo: usize,
-    /// Cross-shard migrations triggered by quarantines.
-    pub rebalanced: usize,
-    /// Admissions that paid the cold penalty (0 without routing).
-    pub cold_misses: usize,
-    /// Admissions onto a warm (template, shard) pair (0 without routing).
-    pub warm_hits: usize,
-    /// Warm templates dropped by quarantines.
-    pub warm_evictions: usize,
-    /// Last simulated cycle (max of arrivals and completions).
-    pub horizon: u64,
-    /// Mean first-start queue wait over completions, cycles.
-    pub mean_queue_wait: f64,
-    /// Every fault event drawn, sorted by `(cycle, shard)`.
-    pub fault_log: Vec<(u64, &'static str)>,
-}
-
 /// One admitted request somewhere in a slot's FIFO queue.
 struct Job {
     idx: usize,
@@ -429,6 +434,8 @@ struct Slot {
 
 struct Shard<'a> {
     setup: ShardSetup<'a>,
+    /// Prefix of the shard's `job/<idx>` and `fault/<kind>` span paths.
+    span_root: String,
     slots: Vec<Slot>,
     requested: usize,
     quarantine: Quarantine,
@@ -499,35 +506,38 @@ struct Engine<'a> {
     /// Template index per request; empty without routing.
     templates: Vec<usize>,
     outcomes: Vec<RequestOutcome>,
-    run: EngineRun,
+    /// The run-wide tallies; per-shard ones live in each shard's `tally`.
+    report: OpenLoopReport,
+    /// Warm templates dropped by quarantines.
+    warm_evictions: usize,
     wait_sum: u64,
     fault_log: Vec<(u64, usize, &'static str)>,
 }
 
 /// Runs the open-loop engine over a trace. Every shard's `services` holds
-/// one service time per request. Returns the aggregate run and the
+/// one service time per request. Returns the aggregate report and the
 /// per-request outcomes in trace order.
-pub fn run_shards<R: Recorder>(
+fn run_shards<R: Recorder>(
     mut setup: EngineSetup,
     requests: &[Request],
     rec: &mut R,
-) -> (EngineRun, Vec<RequestOutcome>) {
+) -> (OpenLoopReport, Vec<RequestOutcome>) {
     let n = setup.shards.len();
-    assert!(
-        n == 1 || setup.routing.is_some(),
-        "many shards need routing"
-    );
+    let routed = setup.routing.is_some();
+    assert!(n == 1 || routed, "many shards need routing");
     debug_assert!(requests.windows(2).all(|w| w[0].arrival <= w[1].arrival));
-    let templates = match setup.routing {
-        Some(_) => template_ids(requests),
-        None => Vec::new(),
+    let templates = if routed {
+        template_ids(requests.iter().map(|r| &r.spec))
+    } else {
+        Vec::new()
     };
     let warm_len = templates.iter().max().map_or(0, |&t| t + 1);
     let shards = std::mem::take(&mut setup.shards);
     let mut sim = Engine {
         shards: shards
             .into_iter()
-            .map(|s| {
+            .enumerate()
+            .map(|(i, s)| {
                 assert_eq!(
                     s.services.len(),
                     requests.len(),
@@ -536,6 +546,11 @@ pub fn run_shards<R: Recorder>(
                 let servers = setup.slots.clamp(1, lease::max_tenants(&s.fabric).max(1));
                 Shard {
                     setup: s,
+                    span_root: if routed {
+                        format!("fleet/shard{i}/")
+                    } else {
+                        String::new()
+                    },
                     slots: (0..servers).map(|_| Slot::default()).collect(),
                     requested: servers,
                     quarantine: Quarantine::default(),
@@ -552,7 +567,8 @@ pub fn run_shards<R: Recorder>(
         templates,
         cfg: setup,
         outcomes: vec![RequestOutcome::Shed; requests.len()],
-        run: EngineRun::default(),
+        report: OpenLoopReport::default(),
+        warm_evictions: 0,
         wait_sum: 0,
         fault_log: Vec::new(),
     };
@@ -596,19 +612,28 @@ pub fn run_shards<R: Recorder>(
     }
 
     let Engine {
+        cfg,
         shards,
         outcomes,
-        mut run,
+        report: mut r,
+        templates,
+        warm_evictions,
         wait_sum,
         mut fault_log,
         ..
     } = sim;
+    // The per-request template ids are dead: free them before the merge
+    // below allocates the fleet-wide latencies, so it adds no peak memory.
+    drop(templates);
     fault_log.sort_by_key(|&(at, shard, _)| (at, shard));
-    run.fault_log = fault_log.into_iter().map(|(at, _, k)| (at, k)).collect();
-    if run.completed > 0 {
-        run.mean_queue_wait = wait_sum as f64 / run.completed as f64;
+    r.fault_log = fault_log.into_iter().map(|(at, _, k)| (at, k)).collect();
+    if r.completed > 0 {
+        r.mean_queue_wait = wait_sum as f64 / r.completed as f64;
     }
-    run.shards = shards
+    r.route = cfg.routing.as_ref().map(|policy| policy.name());
+    r.policy = cfg.shed.name();
+    r.offered = requests.len();
+    r.shards = shards
         .into_iter()
         .map(|sh| {
             let mut tally = sh.tally;
@@ -618,15 +643,41 @@ pub fn run_shards<R: Recorder>(
             tally
         })
         .collect();
-    let sum = |f: fn(&ShardStats) -> usize| run.shards.iter().map(f).sum::<usize>();
-    debug_assert!(run.shards.iter().all(ShardStats::conserved));
-    debug_assert_eq!(requests.len(), run.admitted + run.shed);
-    debug_assert_eq!(
-        run.admitted,
-        run.completed + run.failed + sum(|s| s.in_flight)
-    );
+    for sh in &r.shards {
+        r.servers += sh.servers;
+        r.busy_cycles += sh.busy_cycles;
+        r.lost_cycles += sh.lost_cycles;
+        r.faults_injected += sh.faults_injected;
+        r.quarantined += sh.quarantined;
+    }
+    if n > 1 {
+        r.merged = r
+            .shards
+            .iter()
+            .flat_map(|s| s.latencies.iter().copied())
+            .collect();
+        r.merged.sort_unstable();
+    }
+    if routed {
+        for (name, total) in [
+            (names::FLEET_SHARDS, n),
+            (names::FLEET_ROUTED, requests.len()),
+            (names::FLEET_REBALANCED, r.rebalanced),
+            (names::FLEET_COLD_MISSES, r.cold_misses),
+            (names::FLEET_WARM_HITS, r.warm_hits),
+            (names::FLEET_WARM_EVICTIONS, warm_evictions),
+        ] {
+            if total > 0 {
+                rec.add(name, total as u64);
+            }
+        }
+    }
+    let sum = |f: fn(&ShardStats) -> usize| r.shards.iter().map(f).sum::<usize>();
+    debug_assert!(r.shards.iter().all(ShardStats::conserved));
+    debug_assert_eq!(r.offered, r.admitted + r.shed);
+    debug_assert_eq!(r.admitted, r.completed + r.failed + sum(|s| s.in_flight));
     debug_assert_eq!(sum(|s| s.rebalanced_in), sum(|s| s.rebalanced_out));
-    (run, outcomes)
+    (r, outcomes)
 }
 
 impl Engine<'_> {
@@ -635,10 +686,11 @@ impl Engine<'_> {
         let chosen = self.route(i, req.arrival, 0);
         let depth = self.shards[chosen].depth_at(req.arrival);
         rec.add(names::SERVE_REQUESTS, 1);
-        for &h in self.cfg.depth_hists {
-            rec.sample(h, depth as u64);
+        rec.sample(names::HIST_SERVE_QUEUE_DEPTH, depth as u64);
+        if self.cfg.routing.is_some() {
+            rec.sample(names::HIST_FLEET_SHARD_DEPTH, depth as u64);
         }
-        self.run.horizon = self.run.horizon.max(req.arrival);
+        self.report.horizon = self.report.horizon.max(req.arrival);
         self.shards[chosen].tally.routed += 1;
         let (service, cold) = self.costed(chosen, i);
         let sh = &mut self.shards[chosen];
@@ -653,7 +705,7 @@ impl Engine<'_> {
             ShedPolicy::Deadline => deadline != u64::MAX && finish > due,
         };
         if shed {
-            self.run.shed += 1;
+            self.report.shed += 1;
             sh.tally.shed += 1;
             rec.add(names::SERVE_SHED, 1);
             if matches!(self.cfg.shed, ShedPolicy::Deadline) {
@@ -661,7 +713,7 @@ impl Engine<'_> {
             }
             return; // outcome stays Shed; the shard stays cold
         }
-        self.run.admitted += 1;
+        self.report.admitted += 1;
         rec.add(names::SERVE_ADMITTED, 1);
         let job = Job {
             idx: i,
@@ -712,10 +764,10 @@ impl Engine<'_> {
             return;
         }
         if cold {
-            self.run.cold_misses += 1;
+            self.report.cold_misses += 1;
             self.shards[s].warm[self.templates[i]] = true;
         } else {
-            self.run.warm_hits += 1;
+            self.report.warm_hits += 1;
         }
     }
 
@@ -735,9 +787,9 @@ impl Engine<'_> {
         let first = job.first_start.unwrap_or(job.attempt_start);
         let latency = job.end - job.arrival;
         let wait = first - job.arrival;
-        self.run.completed += 1;
+        self.report.completed += 1;
         self.wait_sum += wait;
-        self.run.horizon = self.run.horizon.max(job.end);
+        self.report.horizon = self.report.horizon.max(job.end);
         let sh = &mut self.shards[s];
         sh.tally.completed += 1;
         sh.tally.busy_cycles += job.len;
@@ -745,13 +797,13 @@ impl Engine<'_> {
         rec.sample(names::HIST_JOB_LATENCY, latency);
         rec.sample(names::HIST_QUEUE_WAIT, wait);
         if latency <= job.deadline {
-            self.run.in_slo += 1;
+            self.report.in_slo += 1;
         } else {
-            self.run.deadline_misses += 1;
+            self.report.deadline_misses += 1;
             rec.add(names::SERVE_DEADLINE_MISSES, 1);
         }
         if self.cfg.record_spans {
-            let (root, idx) = (&sh.setup.span_root, job.idx);
+            let (root, idx) = (&sh.span_root, job.idx);
             rec.span(|| format!("{root}job/{idx}"), first, job.end);
         }
         self.outcomes[job.idx] = RequestOutcome::Done {
@@ -761,7 +813,7 @@ impl Engine<'_> {
     }
 
     fn fail(&mut self, s: usize, job: Job, at: u64) {
-        self.run.failed += 1;
+        self.report.failed += 1;
         self.shards[s].tally.failed += 1;
         self.outcomes[job.idx] = RequestOutcome::Failed { at };
     }
@@ -813,7 +865,7 @@ impl Engine<'_> {
             rec.add(names::FAULT_QUARANTINED, 1);
             // The carve geometry changed: every cached morph decision on
             // this shard is stale, and routing must stop chasing it.
-            self.run.warm_evictions += sh.warm.iter().filter(|&&w| w).count();
+            self.warm_evictions += sh.warm.iter().filter(|&&w| w).count();
             sh.warm.fill(false);
             let cap = sh
                 .requested
@@ -846,7 +898,7 @@ impl Engine<'_> {
         self.shards[s].tally.lost_cycles += lost;
         rec.add(names::FAULT_LOST_CYCLES, lost);
         if self.cfg.record_spans {
-            let (root, kn) = (&self.shards[s].setup.span_root, kind.name());
+            let (root, kn) = (&self.shards[s].span_root, kind.name());
             rec.span(|| format!("{root}fault/{kn}"), job.attempt_start, t);
         }
         if job.first_start.is_none() {
@@ -925,7 +977,7 @@ impl Engine<'_> {
             }
             let dest = self.route(job.idx, t, s);
             if dest != s {
-                self.run.rebalanced += 1;
+                self.report.rebalanced += 1;
                 self.shards[s].tally.rebalanced_out += 1;
                 self.shards[dest].tally.rebalanced_in += 1;
                 let cold;
@@ -1138,6 +1190,78 @@ mod tests {
         assert_eq!(outs, vec![RequestOutcome::Shed]);
         let slack = rec.hist(names::HIST_SERVE_SHED_SLACK).expect("recorded");
         assert_eq!(slack.max(), Some(5));
+    }
+
+    #[test]
+    fn json_key_sets_pin_both_report_shapes() {
+        fn keys(v: &Value) -> Vec<&str> {
+            match v {
+                Value::Obj(map) => map.keys().map(String::as_str).collect(),
+                other => panic!("not an object: {other:?}"),
+            }
+        }
+        let shared = [
+            "admitted",
+            "busy_cycles",
+            "completed",
+            "deadline_misses",
+            "failed",
+            "faults_injected",
+            "goodput_per_mcycle",
+            "horizon",
+            "in_slo",
+            "latency_p50",
+            "latency_p95",
+            "latency_p99",
+            "lost_cycles",
+            "mean_queue_wait",
+            "offered",
+            "policy",
+            "quarantined",
+            "shed",
+            "utilization",
+        ];
+        let with = |extra: &[&'static str]| {
+            let mut k: Vec<&str> = shared.iter().chain(extra).copied().collect();
+            k.sort_unstable();
+            k
+        };
+        let fabric = FabricConfig::mocha_quad();
+        let (reqs, svc) = trace(40, 500, Some(3_000));
+        let p = params(&fabric, ShedPolicy::Deadline);
+        let (single, _) = run_open_loop(&p, &reqs, &svc, &mut NoopRecorder);
+        let single = single.to_json();
+        assert_eq!(keys(&single), with(&["open_loop", "servers"]));
+        assert_eq!(keys(&single).len(), 21);
+
+        let fleet = FleetSpec::parse("preset=quad/preset=mocha").unwrap();
+        let fp = FleetOpenLoopParams {
+            fleet: &fleet,
+            slots: 4,
+            shed: ShedPolicy::Deadline,
+            route: RouteKind::Locality,
+            route_seed: 42,
+            faults: None,
+            cold_penalty: 0,
+            record_spans: false,
+        };
+        let (r, _) = run_fleet_open_loop(&fp, &reqs, &[svc.clone(), svc], &mut NoopRecorder);
+        let json = r.to_json();
+        let fleet_keys = [
+            "cold_misses",
+            "fleet",
+            "rebalanced",
+            "route",
+            "shards",
+            "warm_hits",
+        ];
+        assert_eq!(keys(&json), with(&fleet_keys));
+        assert_eq!(keys(&json).len(), 25);
+        assert_eq!(json.get("route").and_then(Value::as_str), Some("locality"));
+        assert_eq!(
+            json.get("shards").and_then(Value::as_arr).map(<[_]>::len),
+            Some(2)
+        );
     }
 
     #[test]
