@@ -30,82 +30,6 @@ cargo test --workspace -q
 echo "== benchmark tests (the perf package is its own workspace)"
 cargo test -q --manifest-path crates/bench/src/bin/perf/Cargo.toml
 
-echo "== repro r1 smoke (quick mode)"
-cargo run --release -p mocha-bench --bin repro -- --quick r1
-
-echo "== repro r2 smoke (quick mode; quarantine must beat fail-stop)"
-r2_out="$(cargo run --release -p mocha-bench --bin repro -- --quick r2)"
-echo "$r2_out"
-grep -q "beats fail-stop on goodput AND p99" <<< "$r2_out" || {
-    echo "r2: quarantine-and-remorph no longer beats fail-stop"; exit 1
-}
-
-echo "== repro r3 smoke (quick mode; shedding must beat unbounded queueing)"
-r3_out="$(cargo run --release -p mocha-bench --bin repro -- --quick r3)"
-echo "$r3_out"
-grep -q "beats unbounded queueing on goodput AND p99" <<< "$r3_out" || {
-    echo "r3: deadline shedding no longer beats unbounded queueing"; exit 1
-}
-grep -q "fires before the goodput knee" <<< "$r3_out" || {
-    echo "r3: windowed burn-rate alert no longer leads the goodput knee"; exit 1
-}
-
-field() { sed -n "s/.*\"$1\":[[:space:]]*\([0-9.]*\).*/\1/p" <<< "$2"; }
-
-echo "== repro r4 smoke (quick mode; elastic tracking claims + exact counters)"
-r4_out="$(cargo run --release -p mocha-bench --bin repro -- --quick r4)"
-echo "$r4_out"
-grep -q "tracks the healthy window" <<< "$r4_out" || {
-    echo "r4: morph controller no longer tracks the shrinking window"; exit 1
-}
-grep -q "at least as large as the fixed-tiling baseline" <<< "$r4_out" || {
-    echo "r4: morphing no longer matches the fixed-tiling baseline's variant"; exit 1
-}
-# The quick sweep is fully deterministic, so its smoke line (window/variant
-# counts, cache counters, claim bits) must match the committed baseline
-# exactly. Regenerate with:
-#   cargo run --release -p mocha-bench --bin repro -- --quick r4 \
-#   | sed -n 's/.*r4-smoke //p' > baselines/r4-smoke.json
-r4_smoke="$(sed -n 's/.*r4-smoke //p' <<< "$r4_out")"
-test -n "$r4_smoke" || { echo "r4 emitted no r4-smoke line"; exit 1; }
-r4_base="$(cat baselines/r4-smoke.json)"
-for k in windows variants decisions hits misses tracks ge_baseline; do
-    got="$(field "$k" "$r4_smoke")"
-    want="$(field "$k" "$r4_base")"
-    [ "$got" = "$want" ] || {
-        echo "r4 smoke: $k = $got, baseline expects $want"; exit 1
-    }
-done
-
-echo "== repro r5 smoke (quick mode; routing claims + exact counters)"
-r5_out="$(cargo run --release -p mocha-bench --bin repro -- --quick r5)"
-echo "$r5_out"
-grep -q "p2c beats round-robin and locality beats round-robin" <<< "$r5_out" || {
-    echo "r5: state-aware routing no longer beats round-robin under faults"; exit 1
-}
-grep -q "re-balancing is visible at every nonzero rate" <<< "$r5_out" || {
-    echo "r5: quarantine-triggered re-balancing is no longer visible"; exit 1
-}
-grep -q "amplifies the morph-decision cache at fleet scale" <<< "$r5_out" || {
-    echo "r5: locality routing no longer amplifies the decision cache"; exit 1
-}
-# The quick sweep is fully deterministic, so its smoke line (fleet shape,
-# routing counters, claim bits) must match the committed baseline exactly.
-# Regenerate with:
-#   cargo run --release -p mocha-bench --bin repro -- --quick r5 \
-#   | sed -n 's/.*r5-smoke //p' > baselines/r5-smoke.json
-r5_smoke="$(sed -n 's/.*r5-smoke //p' <<< "$r5_out")"
-test -n "$r5_smoke" || { echo "r5 emitted no r5-smoke line"; exit 1; }
-r5_base="$(cat baselines/r5-smoke.json)"
-for k in shards points routed rebalanced cold warm p2c_wins locality_wins \
-         rebalance_visible locality_warmer; do
-    got="$(field "$k" "$r5_smoke")"
-    want="$(field "$k" "$r5_base")"
-    [ "$got" = "$want" ] || {
-        echo "r5 smoke: $k = $got, baseline expects $want"; exit 1
-    }
-done
-
 echo "== obs smoke (stream parses, non-empty, deterministic)"
 obs_tmp="$(mktemp -d)"
 trap 'rm -rf "$obs_tmp"' EXIT
@@ -209,6 +133,28 @@ for t in 2 8; do
         }
     done
 done
+
+echo "== repro claims (the matrix's r2-r5 quick tables)"
+# The r4/r5 smoke counters are pinned by crates/bench/tests/baselines.rs.
+claim() { # claim <id> <phrase> <what broke>
+    grep -q "$2" "$obs_tmp/mat1.$1" || { echo "$1: $3"; exit 1; }
+}
+claim r2 "beats fail-stop on goodput AND p99" \
+    "quarantine-and-remorph no longer beats fail-stop"
+claim r3 "beats unbounded queueing on goodput AND p99" \
+    "deadline shedding no longer beats unbounded queueing"
+claim r3 "fires before the goodput knee" \
+    "windowed burn-rate alert no longer leads the goodput knee"
+claim r4 "tracks the healthy window" \
+    "morph controller no longer tracks the shrinking window"
+claim r4 "at least as large as the fixed-tiling baseline" \
+    "morphing no longer matches the fixed-tiling baseline's variant"
+claim r5 "p2c beats round-robin and locality beats round-robin" \
+    "state-aware routing no longer beats round-robin under faults"
+claim r5 "re-balancing is visible at every nonzero rate" \
+    "quarantine-triggered re-balancing is no longer visible"
+claim r5 "amplifies the morph-decision cache at fleet scale" \
+    "locality routing no longer amplifies the decision cache"
 
 echo "== histogram exactness pin (vs committed baselines/hist-smoke.txt)"
 # The histogram summaries of the matrix's open-loop and faulted --obs rows,
@@ -363,12 +309,13 @@ echo "== trace perf-regression gate (open-loop r3 smoke vs committed baseline)"
 cargo run --release -q -p mocha-cli --bin mocha-sim -- \
     trace diff baselines/r3-smoke.json "$obs_tmp/mat1.openloop.jsonl" --fail-on-regression 5
 
-echo "== serve metrics exposition gate (vs committed baselines/metrics-smoke.json)"
+echo "== serve metrics exposition (byte-identical at --threads 1/2/8)"
 # A scripted stdin serve session: one three-request batch (one doomed
 # request sheds), then a live `metrics` query. The exposition + snapshot
-# must be byte-identical at --threads 1/2/8; the snapshot's counter name
-# set must match the committed baseline exactly, and its burn-rate fields
-# must stay within 5%. Regenerate the baseline with:
+# must be byte-identical at --threads 1/2/8. The cli_e2e test
+# serve_metrics_snapshot_matches_the_committed_baseline replays the same
+# session and gates the snapshot's name set (exact) and burn-rate fields
+# (within 5%) against baselines/metrics-smoke.json. Regenerate it with:
 #   printf '%s\n' \
 #       '{"network": "tiny", "profile": "sparse", "seed": 3}' \
 #       '{"network": "tiny", "arrival_cycle": 4000}' \
@@ -398,56 +345,10 @@ done
 grep -q '^# TYPE mocha_' "$obs_tmp/metrics1.out" || {
     echo "metrics query produced no exposition TYPE lines"; exit 1
 }
-snap="$(grep '"metrics":true' "$obs_tmp/metrics1.out")"
-test -n "$snap" || { echo "metrics query produced no snapshot line"; exit 1; }
-grep -o '"name":"[^"]*"' <<< "$snap" | sort -u > "$obs_tmp/metrics.names"
-grep -o '"name":"[^"]*"' baselines/metrics-smoke.json | sort -u \
-    > "$obs_tmp/metrics.names.base"
-diff "$obs_tmp/metrics.names.base" "$obs_tmp/metrics.names" || {
-    echo "metrics snapshot counter set diverged from the committed baseline"
-    exit 1
-}
-metrics_base="$(cat baselines/metrics-smoke.json)"
-for k in burn_fast burn_slow peak_burn_fast peak_burn_slow; do
-    got="$(field "$k" "$snap")"
-    want="$(field "$k" "$metrics_base")"
-    awk -v got="$got" -v want="$want" \
-        'BEGIN { d = got - want; if (d < 0) d = -d; exit !(d <= 0.05 * want + 1e-9) }' || {
-        echo "metrics smoke: $k = $got drifted >5% from baseline $want"; exit 1
-    }
-done
 
-echo "== warm-cache bench smoke (gated vs committed baselines/cache-smoke.json)"
-# The engine bench's decision-cache sections emit one `cache-smoke {...}`
-# JSON line under CACHE_SMOKE_JSON=1 (CACHE_SMOKE_ONLY=1 skips the slow
-# scaling sweeps). The hit/miss counters are deterministic and must match
-# the committed baseline exactly; the warm-DSE speedup must stay above the
-# gated floor, and the serve-path batch speedup must stay within 5% of the
-# committed baseline.
-smoke_out="$(CACHE_SMOKE_JSON=1 CACHE_SMOKE_ONLY=1 \
-    cargo bench -q -p mocha-bench --bench engine)"
-smoke="$(grep '^cache-smoke ' <<< "$smoke_out" | sed 's/^cache-smoke //')"
-test -n "$smoke" || { echo "engine bench emitted no cache-smoke line"; exit 1; }
-echo "cache-smoke: $smoke"
-smoke_base="$(cat baselines/cache-smoke.json)"
-for k in decisions hits misses entries; do
-    got="$(field "$k" "$smoke")"
-    want="$(field "$k" "$smoke_base")"
-    [ "$got" = "$want" ] || {
-        echo "cache smoke: $k = $got, baseline expects $want"; exit 1
-    }
-done
-dse="$(field dse_speedup "$smoke")"
-dse_floor="$(field dse_speedup_floor "$smoke_base")"
-awk -v got="$dse" -v floor="$dse_floor" 'BEGIN { exit !(got >= floor) }' || {
-    echo "warm-cache DSE speedup ${dse}x fell below the gated floor ${dse_floor}x"
-    exit 1
-}
-batch="$(field batch_speedup "$smoke")"
-batch_base="$(field batch_speedup "$smoke_base")"
-awk -v got="$batch" -v base="$batch_base" 'BEGIN { exit !(got >= 0.95 * base) }' || {
-    echo "warm-cache batch speedup ${batch}x regressed >5% vs baseline ${batch_base}x"
-    exit 1
-}
+echo "== warm-cache smoke (gated vs committed baselines/cache-smoke.json)"
+# Exact hit/miss counters, the warm-DSE speedup floor and the serve-path
+# batch speedup bound are checked by the binary itself.
+cargo run --release -q -p mocha-bench --bin cache_smoke
 
 echo "CI OK"

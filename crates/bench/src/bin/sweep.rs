@@ -19,6 +19,23 @@ fn parse_list(args: &[String], key: &str, default: &[&str]) -> Vec<String> {
         .unwrap_or_else(|| default.iter().map(|s| s.to_string()).collect())
 }
 
+/// Prints `msg` as a one-line error and exits 2.
+fn fail(msg: String) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+fn accelerator(name: &str) -> Option<Accelerator> {
+    Some(match name {
+        "mocha" => Accelerator::mocha(Objective::Edp),
+        "mocha-nc" => Accelerator::mocha_no_compression(Objective::Edp),
+        "tiling" => Accelerator::tiling_only(),
+        "fusion" => Accelerator::fusion_only(),
+        "parallel" => Accelerator::parallelism_only(),
+        _ => return None,
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -27,52 +44,54 @@ fn main() {
     } else {
         &["lenet5", "mobilenet", "alexnet"]
     };
-    let networks = parse_list(&args, "--networks", default_networks);
-    let accelerators = parse_list(
+    // Every name and seed is validated before the CSV header, so a bad
+    // argument never leaves a partial table on stdout.
+    let networks: Vec<(String, Network)> = parse_list(&args, "--networks", default_networks)
+        .into_iter()
+        .map(|n| match network::by_name(&n) {
+            Some(net) => (n, net),
+            None => fail(format!("unknown network {n:?}")),
+        })
+        .collect();
+    let accelerators: Vec<(String, Accelerator)> = parse_list(
         &args,
         "--accelerators",
         &["mocha", "mocha-nc", "tiling", "fusion", "parallel"],
-    );
-    let profiles = parse_list(&args, "--profiles", &["dense", "nominal", "sparse"]);
+    )
+    .into_iter()
+    .map(|a| match accelerator(&a) {
+        Some(acc) => (a, acc),
+        None => fail(format!("unknown accelerator {a:?}")),
+    })
+    .collect();
+    let profiles: Vec<(String, SparsityProfile)> =
+        parse_list(&args, "--profiles", &["dense", "nominal", "sparse"])
+            .into_iter()
+            .map(|p| match p.as_str() {
+                "dense" => (p, SparsityProfile::DENSE),
+                "nominal" => (p, SparsityProfile::NOMINAL),
+                "sparse" => (p, SparsityProfile::SPARSE),
+                _ => fail(format!("unknown profile {p:?}")),
+            })
+            .collect();
     let seeds: Vec<u64> = parse_list(&args, "--seeds", &["42"])
         .iter()
-        .map(|s| s.parse().expect("--seeds must be integers"))
+        .map(|s| {
+            s.parse()
+                .unwrap_or_else(|_| fail(format!("--seeds must be integers, got {s:?}")))
+        })
         .collect();
 
     let table = EnergyTable::default();
     println!(
         "network,accelerator,profile,seed,cycles,seconds,gops,gops_per_watt,edp_js,peak_storage_bytes,dram_bytes,compression_ratio"
     );
-    for net_name in &networks {
-        let net = network::by_name(net_name).unwrap_or_else(|| {
-            eprintln!("unknown network {net_name:?}");
-            std::process::exit(2);
-        });
-        for prof_name in &profiles {
-            let profile = match prof_name.as_str() {
-                "dense" => SparsityProfile::DENSE,
-                "nominal" => SparsityProfile::NOMINAL,
-                "sparse" => SparsityProfile::SPARSE,
-                other => {
-                    eprintln!("unknown profile {other:?}");
-                    std::process::exit(2);
-                }
-            };
+    for (net_name, net) in &networks {
+        for (prof_name, profile) in &profiles {
             for &seed in &seeds {
-                let workload = Workload::generate(net.clone(), profile, seed);
-                for acc_name in &accelerators {
-                    let acc = match acc_name.as_str() {
-                        "mocha" => Accelerator::mocha(Objective::Edp),
-                        "mocha-nc" => Accelerator::mocha_no_compression(Objective::Edp),
-                        "tiling" => Accelerator::tiling_only(),
-                        "fusion" => Accelerator::fusion_only(),
-                        "parallel" => Accelerator::parallelism_only(),
-                        other => {
-                            eprintln!("unknown accelerator {other:?}");
-                            std::process::exit(2);
-                        }
-                    };
-                    let mut sim = Simulator::new(acc);
+                let workload = Workload::generate(net.clone(), *profile, seed);
+                for (acc_name, acc) in &accelerators {
+                    let mut sim = Simulator::new(acc.clone());
                     sim.verify = false;
                     let run = sim.run(&workload);
                     let r = run.report(&table);

@@ -1,21 +1,22 @@
 //! # mocha-bench
 //!
-//! The benchmark harness of the MOCHA reproduction:
+//! The experiment suite of the MOCHA reproduction:
 //!
 //! * [`experiments`] — one module per reconstructed table/figure of the
 //!   paper's evaluation (T1–T2, F1–F8; see DESIGN.md for the index), each
-//!   regenerating the same rows/series the paper reports;
+//!   regenerating the same rows/series the paper reports; `mocha-sim repro`
+//!   runs any or all of them;
 //! * [`table`] — fixed-width table rendering;
-//! * the `repro` binary (`cargo run -p mocha-bench --release --bin repro --
-//!   all`) runs any or all of them;
-//! * std-timer micro-benchmarks (`cargo bench`) cover the hot paths: the
-//!   codecs, the golden executor, the controller search and the full
-//!   simulator.
+//! * [`baseline`] — typed gates against the committed `baselines/*.json`;
+//! * the `sweep` binary emits factorial CSV sweeps, and the `cache_smoke`
+//!   binary gates the morph-decision cache's warm-replay speedups.
+//!
+//! Wall-clock speed is measured by the `perf` package under `src/bin/perf`.
 
 #![warn(missing_docs)]
 
+pub mod baseline;
 pub mod experiments;
-pub mod micro;
 pub mod table;
 
 pub use experiments::{run_by_id, ExpConfig, ALL};

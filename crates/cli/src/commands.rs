@@ -673,11 +673,10 @@ pub fn codec(args: &Args) -> i32 {
     0
 }
 
-/// `repro` subcommand: regenerate the reconstructed paper experiments —
-/// the same suite as `cargo run -p mocha-bench --bin repro`, reachable
-/// from the installed CLI. Tables are byte-identical for every
-/// `--threads` value: sweeps shard over the engine but reduce in
-/// canonical point order.
+/// `repro` subcommand: regenerate the reconstructed paper experiments of
+/// `mocha_bench::experiments` — the only repro front end. Tables are
+/// byte-identical for every `--threads` value: sweeps shard over the
+/// engine but reduce in canonical point order. An unknown id exits 2.
 pub fn repro(args: &Args) -> i32 {
     if let Err(code) = strict(args, mocha_bench::ALL.len(), &["quick", "threads", "cache"]) {
         return code;

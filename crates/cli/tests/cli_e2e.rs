@@ -1693,6 +1693,49 @@ fn serve_stdin_metrics_query_returns_exposition_and_snapshot() {
     assert!(text.lines().count() > 1, "batch still served:\n{text}");
 }
 
+/// The scripted serve session behind `baselines/metrics-smoke.json` (see
+/// ci.sh for the regeneration command): the snapshot's counter and hist
+/// name set must equal the baseline's, and its four burn-rate fields must
+/// be present and within 5 % (+1e-9) of the baseline.
+#[test]
+fn serve_metrics_snapshot_matches_the_committed_baseline() {
+    let out = mocha_sim_stdin(
+        &[
+            "serve",
+            "--shed-policy",
+            "deadline",
+            "--slo",
+            "400000",
+            "--metrics-window",
+            "100000",
+        ],
+        b"{\"network\": \"tiny\", \"profile\": \"sparse\", \"seed\": 3}\n\
+          {\"network\": \"tiny\", \"arrival_cycle\": 4000}\n\
+          {\"network\": \"tiny\", \"arrival_cycle\": 8000, \"deadline_cycles\": 1}\n\n\
+          metrics\n",
+    );
+    assert!(out.status.success(), "stderr: {}", stderr(&out));
+    let text = stdout(&out);
+    let snap_line = text
+        .lines()
+        .find(|l| l.contains("\"metrics\":true"))
+        .unwrap_or_else(|| panic!("no snapshot line in:\n{text}"));
+    let snap = mocha_json::parse(snap_line).expect("snapshot is JSON");
+    let base = mocha_bench::baseline::load("metrics-smoke.json").unwrap();
+    let names = |v: &mocha_json::Value| -> std::collections::BTreeSet<String> {
+        ["counters", "hists"]
+            .iter()
+            .flat_map(|k| v.get(k).and_then(|a| a.as_arr()).expect(k))
+            .filter_map(|m| m.get("name").and_then(|n| n.as_str()).map(str::to_string))
+            .collect()
+    };
+    assert_eq!(names(&snap), names(&base), "name set diverged");
+    let (slo, base_slo) = (snap.get("slo").expect("slo"), base.get("slo").unwrap());
+    for k in ["burn_fast", "burn_slow", "peak_burn_fast", "peak_burn_slow"] {
+        mocha_bench::baseline::within(slo, base_slo, k, 0.05).unwrap();
+    }
+}
+
 /// `repro r3` — the open-loop serving sweep — is byte-identical across
 /// thread counts and carries the headline shedding-beats-queueing note.
 #[test]

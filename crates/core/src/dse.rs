@@ -115,6 +115,14 @@ mod tests {
     use mocha_fabric::FabricConfig;
     use mocha_model::network;
 
+    const EST: SparsityEstimate = SparsityEstimate {
+        ifmap_sparsity: 0.6,
+        ifmap_mean_run: 3.0,
+        kernel_sparsity: 0.3,
+        ofmap_sparsity: 0.5,
+        ofmap_mean_run: 2.0,
+    };
+
     fn point(cycles: u64, energy: f64, spm: usize) -> DesignPoint {
         DesignPoint {
             morph: crate::exec::default_morph(&network::tiny().layers()[0]),
@@ -180,13 +188,7 @@ mod tests {
             energy: &energy,
         };
         let net = network::tiny();
-        let est = SparsityEstimate {
-            ifmap_sparsity: 0.6,
-            ifmap_mean_run: 3.0,
-            kernel_sparsity: 0.3,
-            ofmap_sparsity: 0.5,
-            ofmap_mean_run: 2.0,
-        };
+        let est = EST;
         let front = explore_layer(&ctx, &net.layers()[0], &est, true);
         assert!(
             front.len() >= 2,
@@ -216,5 +218,46 @@ mod tests {
             d.plan.cycles, fastest,
             "controller's throughput pick must match the front's fastest point"
         );
+    }
+
+    /// Candidates are scored in parallel but reduced in enumeration order,
+    /// so every layer's front is identical — every coordinate bit and
+    /// config — at any worker count.
+    #[test]
+    fn explored_fronts_are_identical_across_engine_widths() {
+        let fabric = FabricConfig::mocha();
+        let costs = CodecCostTable::default();
+        let energy = EnergyTable::default();
+        let ctx = PlanContext {
+            fabric: &fabric,
+            codec_costs: &costs,
+            energy: &energy,
+        };
+        let net = network::lenet5();
+        let fingerprint = |threads: usize| -> Vec<Vec<String>> {
+            let engine = Engine::new(threads);
+            net.layers()
+                .iter()
+                .map(|l| {
+                    let front = explore_layer_on(&engine, &ctx, l, &EST, true);
+                    front
+                        .iter()
+                        .map(|p| {
+                            let (cycles, energy, spm) = p.coords();
+                            format!("{cycles}|{}|{spm}|{}", energy.to_bits(), p.morph)
+                        })
+                        .collect()
+                })
+                .collect()
+        };
+        let base = fingerprint(1);
+        assert!(base.iter().all(|front| !front.is_empty()));
+        for threads in [2, 8] {
+            assert_eq!(
+                fingerprint(threads),
+                base,
+                "front differs at {threads} threads"
+            );
+        }
     }
 }

@@ -1,6 +1,6 @@
 //! Smoke versions of the headline experiments (T1/T2 shape checks) on the
-//! fast `tiny` network — the full tables come from `mocha-bench`'s `repro`
-//! binary; these tests pin the *directions* so regressions surface in CI.
+//! fast `tiny` network — the full tables come from `mocha-sim repro`;
+//! these tests pin the *directions* so regressions surface in CI.
 
 use mocha::prelude::*;
 
