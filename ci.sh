@@ -203,6 +203,24 @@ openloop_pin target/release/mocha-sim | cmp - baselines/openloop-report.txt || {
     echo "open-loop reports differ from baselines/openloop-report.txt"; exit 1
 }
 
+echo "== simulate pin (vs committed baselines/sim-zoo.txt)"
+# `simulate --json` for three zoo networks under every accelerator policy
+# and two sparsity profiles must stay byte-identical to the baseline.
+# Regenerate with (from the repo root, after the release build):
+#   sim_zoo target/release/mocha-sim > baselines/sim-zoo.txt
+sim_zoo() {
+    for net in tiny lenet5 mobilenet; do
+        for acc in mocha mocha-nc tiling fusion parallel; do
+            for prof in dense sparse; do
+                "$1" simulate "$net" --accelerator "$acc" --profile "$prof" --json --threads 1
+            done
+        done
+    done
+}
+sim_zoo target/release/mocha-sim | cmp - baselines/sim-zoo.txt || {
+    echo "simulate output differs from baselines/sim-zoo.txt"; exit 1
+}
+
 echo "== one open-loop front end (serve --open-loop --fleet == fleet --open-loop)"
 # Both entry points run the same open-loop path in fleet mode, so the
 # matrix's fleet open-loop row must replay byte-for-byte through `serve`.
