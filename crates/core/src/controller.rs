@@ -19,9 +19,9 @@
 
 use crate::cache::{est_bits, CachedValue, DecisionKey, DecisionShard};
 use crate::exec::default_morph;
-use crate::fusion::{can_extend, plan_group, FusionGroup, MAX_GROUP_DEPTH};
+use crate::fusion::{can_extend, MAX_GROUP_DEPTH};
 use crate::morph::{CompressionChoice, LoopOrder, MorphConfig, Objective, Parallelism, Tiling};
-use crate::plan::{plan_layer, LayerPlan, PlanContext, SparsityEstimate};
+use crate::plan::{plan_group, plan_layer, LayerPlan, PlanContext, SparsityEstimate};
 use crate::tiling::reduction_depth;
 use mocha_compress::Codec;
 use mocha_fabric::Buffering;
@@ -275,12 +275,7 @@ fn plan_for(
     if len == 1 {
         plan_layer(ctx, &layers[0], morph, est, store_output)
     } else {
-        let group = FusionGroup {
-            start: 0,
-            layers: layers[..len].to_vec(),
-        };
-        let shapes: Vec<_> = group.layers.iter().map(|l| l.kernel_shape()).collect();
-        plan_group(ctx, &group, &shapes, morph, est, store_output)
+        plan_group(ctx, &layers[..len], morph, est, store_output)
     }
 }
 

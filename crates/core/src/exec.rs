@@ -1,25 +1,25 @@
-//! Functional execution of one layer under a morph configuration —
-//! bit-exact, with exact (data-dependent) timing and energy accounting.
+//! Functional execution of one layer or fused group under a morph
+//! configuration — bit-exact, with exact (data-dependent) timing and energy
+//! accounting.
 //!
-//! Every tile's streams are priced by the codecs' *exact* size passes —
-//! not estimates (the analytical mirror lives in [`crate::plan`]). Debug
-//! builds additionally encode every stream, decode it back, and assert it
-//! equal to the source bytes, so `cargo test` remains the proof that
-//! morphing never changes results; release builds skip the materialization
-//! and keep the hot loop allocation-free.
+//! Execution is the [`crate::walk`] traversal run with [`Measured`] streams:
+//! every tile's streams are priced by the codecs' *exact* size passes over
+//! the live tensors (planning runs the same walk on estimates, see
+//! [`crate::plan`]), each tile is computed functionally and written to the
+//! output. Debug builds additionally encode every stream, decode it back,
+//! and assert it equal to the source bytes, so `cargo test` remains the
+//! proof that morphing never changes results; release builds skip the
+//! materialization and keep the hot loop allocation-free.
 
 use crate::morph::{LoopOrder, MorphConfig};
-use crate::parallel::{compute_phase, map_tile, TileWork};
-use crate::streams;
-use crate::tiling::{input_window, reduction_depth, reduction_slabs, tiles, OutputTile, Region};
+use crate::tiling::{reduction_depth, Region};
+use crate::walk::{walk_layer, StreamSource, WalkTotals};
 use mocha_compress::{Codec, CodecCostTable, CompressionStats};
 use mocha_energy::EventCounts;
-use mocha_fabric::{
-    pipeline_cycles, scratchpad, Buffering, CapacityError, FabricConfig, RegionClass, Scratchpad,
-    TilePhase,
-};
+use mocha_fabric::{Buffering, CapacityError, FabricConfig, Scratchpad, TilePhase};
 use mocha_model::layer::{Layer, LayerKind};
 use mocha_model::tensor::{requantize, Kernel, Tensor};
+use mocha_model::TensorShape;
 
 /// Shared simulation context: the fabric instance and codec cost table.
 #[derive(Debug, Clone, Copy)]
@@ -30,10 +30,11 @@ pub struct ExecContext<'a> {
     pub codec_costs: &'a CodecCostTable,
 }
 
-/// Result of executing one layer.
+/// Result of executing one layer or one fused group.
 #[derive(Debug, Clone)]
 pub struct LayerRun {
-    /// The layer's output feature map (bit-exact vs the golden model).
+    /// The output feature map of the (final) layer, bit-exact vs the golden
+    /// model.
     pub output: Tensor<i8>,
     /// Total cycles under the configured buffering discipline.
     pub cycles: u64,
@@ -41,18 +42,13 @@ pub struct LayerRun {
     pub events: EventCounts,
     /// Scratchpad high-water mark in bytes (the storage metric).
     pub spm_peak: usize,
-    /// Compression accounting for the layer's streams.
+    /// Compression accounting for the streams.
     pub compression: CompressionStats,
     /// Output tiles executed.
     pub tiles: usize,
     /// The tile phases that were scheduled (for trace/Gantt rendering).
     pub phases: Vec<TilePhase>,
 }
-
-/// NoC lanes granted to loads vs stores (the default fabric has two DMA
-/// queues sharing four lanes).
-const LOAD_LANES: usize = 2;
-const STORE_LANES: usize = 2;
 
 /// Prices `data` under `codec`: the exact encoded size in bytes, computed
 /// by the codec's allocation-free size pass. Debug builds additionally
@@ -107,307 +103,174 @@ fn window_bytes_into(layer: &Layer, input: &Tensor<i8>, win: &Region, out: &mut 
     }
 }
 
-/// Scratchpad accumulator traffic of a tile whose reduction ran over
-/// `slabs` slabs: with one slab the accumulation lives in register files;
-/// with more, 4-byte partials are spilled and re-read per slab.
-fn accumulator_traffic(out_volume: usize, slabs: usize) -> (u64, u64) {
-    if slabs <= 1 {
-        (0, 0)
-    } else {
-        let vol = out_volume as u64;
-        // One 4-byte write per element per slab; one read per element per
-        // slab after the first, plus the final requantization read.
-        (4 * vol * slabs as u64, 4 * vol * slabs as u64)
+/// The execution [`StreamSource`]: streams are the live tensors' bytes,
+/// sized exactly, recorded in [`CompressionStats`], and every tile is
+/// computed and written to the output.
+pub(crate) struct Measured<'a> {
+    input: &'a Tensor<i8>,
+    /// One kernel per walked layer, `None` for pooling.
+    kernels: &'a [Option<&'a Kernel>],
+    output: Tensor<i8>,
+    compression: CompressionStats,
+    /// One scratch buffer for every raw stream the walk materializes —
+    /// windows and kernel blocks are priced and discarded, so the
+    /// allocation is reused across all tiles and slabs.
+    scratch: Vec<i8>,
+}
+
+impl<'a> Measured<'a> {
+    /// A source reading `input` and `kernels`, writing an output of shape
+    /// `out`.
+    pub(crate) fn new(
+        input: &'a Tensor<i8>,
+        kernels: &'a [Option<&'a Kernel>],
+        out: TensorShape,
+    ) -> Self {
+        Self {
+            input,
+            kernels,
+            output: Tensor::zeros(out),
+            compression: CompressionStats::default(),
+            scratch: Vec::new(),
+        }
+    }
+
+    /// The run a walk over this source produced.
+    pub(crate) fn into_run(self, walk: WalkTotals) -> LayerRun {
+        LayerRun {
+            output: self.output,
+            cycles: walk.cycles,
+            events: walk.events,
+            spm_peak: walk.spm_peak,
+            compression: self.compression,
+            tiles: walk.tiles,
+            phases: walk.phases,
+        }
+    }
+
+    fn kernel(&self, member: usize) -> &'a Kernel {
+        self.kernels[member].expect("weighted layer needs kernel")
+    }
+
+    /// Sizes and records the stream in `scratch`.
+    fn price_scratch(&mut self, codec: Codec, is_kernel: bool) -> usize {
+        let encoded = encode_checked(codec, &self.scratch);
+        self.compression
+            .record(codec, is_kernel, self.scratch.len(), encoded);
+        encoded
+    }
+
+    /// Writes a finished tile to the output and sizes its store.
+    fn emit(&mut self, out: &Region, data: &[i8], store: Option<Codec>) -> usize {
+        write_tile(&mut self.output, out, data);
+        store.map_or(0, |codec| {
+            let encoded = encode_checked(codec, data);
+            self.compression.record(codec, false, data.len(), encoded);
+            encoded
+        })
     }
 }
 
-/// Executes a conv or fc layer. `store_output = false` suppresses the DRAM
-/// writeback (used when a fused successor consumes the tile on-chip).
-pub fn execute_weighted(
-    ctx: &ExecContext<'_>,
-    layer: &Layer,
-    input: &Tensor<i8>,
-    kernel: &Kernel,
-    morph: &MorphConfig,
-    store_output: bool,
-) -> Result<LayerRun, CapacityError> {
-    let out_shape = layer.output();
-    let depth = reduction_depth(layer);
-    let (k, stride_relu): (usize, (u32, bool)) = match layer.kind {
-        LayerKind::Conv { k, relu, .. } | LayerKind::DwConv { k, relu, .. } => {
-            (k, (layer.requant_shift, relu))
-        }
-        LayerKind::Pointwise { relu, .. } => (1, (layer.requant_shift, relu)),
-        LayerKind::Fc { relu, .. } => (1, (layer.requant_shift, relu)),
-        LayerKind::Pool { .. } => panic!("{}: pool layer on weighted path", layer.name),
-    };
-    let (shift, relu) = stride_relu;
-
-    let tiling = morph
-        .tiling
-        .clamp(out_shape.c, out_shape.h, out_shape.w, depth);
-    let slabs = reduction_slabs(depth, tiling.tile_ic);
-    let tile_list = tiles(layer, tiling, morph.loop_order);
-    let buffer_sets = mocha_fabric::buffer_sets(morph.buffering);
-
-    let mut output = Tensor::zeros(out_shape);
-    let mut spm = Scratchpad::new(ctx.fabric);
-    let mut events = EventCounts::default();
-    let mut compression = CompressionStats::default();
-    let mut phases: Vec<TilePhase> = Vec::with_capacity(tile_list.len() + 8);
-
-    // Pinned-operand state: (block key, scratchpad region, encoded bytes).
-    let mut pinned: Option<(usize, mocha_fabric::RegionId, usize)> = None;
-
-    // One scratch buffer for every raw stream the tile loop materializes —
-    // windows and kernel blocks are priced and discarded, so the allocation
-    // is reused across all tiles and slabs.
-    let mut scratch: Vec<i8> = Vec::new();
-
-    for tile in &tile_list {
-        let out_vol = tile.out.volume();
-
-        // ---- pinned operand (re)load on block change -------------------
-        let pin_key = match morph.loop_order {
-            LoopOrder::WeightStationary => tile.oc_block,
-            LoopOrder::InputStationary => tile.spatial_block,
-        };
-        let pinned_encoded = match &pinned {
-            Some((key, _, bytes)) if *key == pin_key => *bytes,
-            _ => {
-                if let Some((_, region, _)) = pinned.take() {
-                    spm.free(region);
-                }
-                let (class, codec) = match morph.loop_order {
-                    LoopOrder::WeightStationary => {
-                        kernel.filter_block_into(
-                            tile.out.c0,
-                            tile.out.cn,
-                            0,
-                            depth_channels(layer),
-                            &mut scratch,
-                        );
-                        (RegionClass::KernelBlock, morph.compression.kernel)
-                    }
-                    LoopOrder::InputStationary => {
-                        let win = input_window(layer, &tile.out, 0, depth);
-                        window_bytes_into(layer, input, &win, &mut scratch);
-                        (RegionClass::IfmapTile, morph.compression.ifmap)
-                    }
-                };
-                let encoded = encode_checked(codec, &scratch);
-                compression.record(
-                    codec,
-                    class == RegionClass::KernelBlock,
-                    scratch.len(),
-                    encoded,
-                );
-                let region = spm.alloc(class, encoded)?;
-                let transfer = streams::load_encoded(encoded, LOAD_LANES);
-                transfer.count_events(ctx.fabric, &mut events);
-                phases.push(TilePhase {
-                    load_cycles: transfer.cycles(ctx.fabric),
-                    compute_cycles: 0,
-                    store_cycles: 0,
-                });
-                pinned = Some((pin_key, region, encoded));
-                encoded
-            }
-        };
-
-        // ---- streamed slab loads ---------------------------------------
-        let mut load_cycles = 0u64;
-        let mut streamed_encoded_total = 0usize;
-        let mut max_slab_encoded = 0usize;
-        let mut ifmap_raw_tile = 0usize; // raw ifmap bytes the tile reads
-        let mut kernel_raw_tile = 0usize; // raw kernel bytes the tile reads
-        for &(ic0, icn) in &slabs {
-            let (codec, is_kernel) = match morph.loop_order {
-                LoopOrder::WeightStationary => {
-                    let win = input_window(layer, &tile.out, ic0, icn);
-                    window_bytes_into(layer, input, &win, &mut scratch);
-                    (morph.compression.ifmap, false)
-                }
-                LoopOrder::InputStationary => {
-                    kernel.filter_block_into(tile.out.c0, tile.out.cn, ic0, icn, &mut scratch);
-                    (morph.compression.kernel, true)
-                }
-            };
-            if is_kernel {
-                kernel_raw_tile += scratch.len();
-            } else {
-                ifmap_raw_tile += scratch.len();
-            }
-            let encoded = encode_checked(codec, &scratch);
-            compression.record(codec, is_kernel, scratch.len(), encoded);
-            streamed_encoded_total += encoded;
-            max_slab_encoded = max_slab_encoded.max(encoded);
-            let transfer = streams::load_encoded(encoded, LOAD_LANES);
-            transfer.count_events(ctx.fabric, &mut events);
-            load_cycles += transfer.cycles(ctx.fabric);
-        }
-        // The pinned operand contributes the *other* stream's raw bytes.
-        match morph.loop_order {
-            LoopOrder::WeightStationary => {
-                kernel_raw_tile += tile.out.cn * depth_channels(layer) * k * k
-            }
-            LoopOrder::InputStationary => {
-                let win = input_window(layer, &tile.out, 0, depth);
-                ifmap_raw_tile += match layer.kind {
-                    LayerKind::Fc { .. } => win.cn,
-                    _ => win.volume(),
-                };
-            }
-        }
-
-        // ---- scratchpad working set for this tile ----------------------
-        let slab_buf = spm.alloc(RegionClass::IfmapTile, max_slab_encoded * buffer_sets)?;
-        let acc_buf = spm.alloc(RegionClass::OfmapTile, 4 * out_vol)?;
-        let stage_buf = spm.alloc(RegionClass::OfmapTile, out_vol * buffer_sets)?;
-
-        // ---- compute ----------------------------------------------------
-        let work = TileWork {
-            out_channels: tile.out.cn,
-            spatial: tile.out.plane(),
-            macs_per_output: (depth * k * k / depth_divisor(layer)) as u64,
-        };
-        let skip_fraction = if morph.compression.kernel == Codec::Bitmask {
-            kernel_zero_fraction(kernel, tile, layer)
-        } else {
-            0.0
-        };
-        let mapping = map_tile(&work, ctx.fabric.pes(), morph.parallelism);
-        let mut pe_phase = compute_phase(&work, &mapping, skip_fraction);
-        pe_phase.pool_ops += out_vol as u64; // requantization pass
-        pe_phase.count_events(&mut events);
-        let pe_cycles = pe_phase.cycles(ctx.fabric);
-
-        // PE feed: operands stream from the scratchpad once per tile.
-        let feed_bytes = streamed_encoded_total as u64 + pinned_encoded as u64;
-        let (acc_w, acc_r) = accumulator_traffic(out_vol, slabs.len());
-        events.spm_read_bytes += feed_bytes + acc_r;
-        events.spm_write_bytes += acc_w + out_vol as u64; // staging write
-        let feed_cycles =
-            scratchpad::stream_cycles(ctx.fabric, feed_bytes + acc_r + acc_w, ctx.fabric.spm_banks);
-
-        // On-the-fly decode while feeding the PEs.
-        let decode_cycles = ctx
-            .codec_costs
-            .decode_cycles(morph.compression.ifmap, ifmap_raw_tile)
-            + ctx
-                .codec_costs
-                .decode_cycles(morph.compression.kernel, kernel_raw_tile);
-        events.priced_pj += ctx
-            .codec_costs
-            .energy_pj(morph.compression.ifmap, ifmap_raw_tile)
-            + ctx
-                .codec_costs
-                .energy_pj(morph.compression.kernel, kernel_raw_tile);
-        if morph.compression.ifmap != Codec::None {
-            events.codec_bytes += ifmap_raw_tile as u64;
-        }
-        if morph.compression.kernel != Codec::None {
-            events.codec_bytes += kernel_raw_tile as u64;
-        }
-        let compute_cycles = pe_cycles.max(feed_cycles).max(decode_cycles);
-
-        // ---- functional compute ----------------------------------------
-        let tile_out = compute_tile(layer, input, kernel, tile, shift, relu);
-
-        // ---- store -------------------------------------------------------
-        let store_cycles = if store_output {
-            let encoded = encode_checked(morph.compression.ofmap, &tile_out);
-            compression.record(morph.compression.ofmap, false, tile_out.len(), encoded);
-            let transfer = streams::store_encoded(
-                morph.compression.ofmap,
-                tile_out.len(),
-                encoded,
-                ctx.codec_costs,
-                STORE_LANES,
-            );
-            transfer.count_events(ctx.fabric, &mut events);
-            transfer.cycles(ctx.fabric)
-        } else {
-            0
-        };
-
-        write_tile(&mut output, &tile.out, &tile_out);
-        phases.push(TilePhase {
-            load_cycles,
-            compute_cycles,
-            store_cycles,
-        });
-
-        spm.free(slab_buf);
-        spm.free(acc_buf);
-        spm.free(stage_buf);
+impl StreamSource for Measured<'_> {
+    fn scratchpad(&self, fabric: &FabricConfig, _: &MorphConfig) -> Scratchpad {
+        Scratchpad::new(fabric)
     }
 
-    let cycles = pipeline_cycles(&phases, morph.buffering);
-    events.active_cycles = cycles;
-    Ok(LayerRun {
-        output,
-        cycles,
-        events,
-        spm_peak: spm.peak(),
-        compression,
-        tiles: tile_list.len(),
-        phases,
-    })
-}
-
-/// Input channels for conv, 1 for fc (whose reduction depth already *is* the
-/// flattened volume, so `depth × k × k` must not double-count).
-fn depth_channels(layer: &Layer) -> usize {
-    match layer.kind {
-        LayerKind::Fc { .. } => reduction_depth(layer),
-        LayerKind::DwConv { .. } => 1,
-        _ => layer.input.c,
+    fn window(&mut self, layer: &Layer, win: &Region, raw: usize, codec: Codec) -> usize {
+        window_bytes_into(layer, self.input, win, &mut self.scratch);
+        debug_assert_eq!(self.scratch.len(), raw);
+        self.price_scratch(codec, false)
     }
-}
 
-/// Divisor making `depth × k² / divisor` the true MACs-per-output for both
-/// conv (divisor 1) and fc (k = 1, divisor 1). Kept as a function for
-/// clarity at the call site.
-fn depth_divisor(_layer: &Layer) -> usize {
-    1
-}
-
-/// Fraction of zero weights in the kernel block a tile consumes, counted
-/// in place over the filter slices — no block materialization.
-fn kernel_zero_fraction(kernel: &Kernel, tile: &OutputTile, layer: &Layer) -> f64 {
-    let shape = kernel.shape();
-    let kk = shape.k * shape.k;
-    let cn = depth_channels(layer);
-    let total = tile.out.cn * cn * kk;
-    if total == 0 {
-        return 0.0;
+    fn kernel_block(
+        &mut self,
+        member: usize,
+        (c0, cn): (usize, usize),
+        (ic0, icn): (usize, usize),
+        raw: usize,
+        codec: Codec,
+    ) -> usize {
+        self.kernel(member)
+            .filter_block_into(c0, cn, ic0, icn, &mut self.scratch);
+        debug_assert_eq!(self.scratch.len(), raw);
+        self.price_scratch(codec, true)
     }
-    let mut zeros = 0usize;
-    for oc in tile.out.c0..tile.out.c0 + tile.out.cn {
-        for ic in 0..cn {
-            let base = shape.index(oc, ic, 0, 0);
-            zeros += kernel.data()[base..base + kk]
+
+    /// The zero fraction of the kernel block, counted in place over the
+    /// filter slices — no block materialization.
+    fn skip_fraction(&self, member: usize, (c0, cn): (usize, usize)) -> f64 {
+        let kernel = self.kernel(member);
+        let shape = kernel.shape();
+        let kk = shape.k * shape.k;
+        let total = cn * shape.in_c * kk;
+        if total == 0 {
+            return 0.0;
+        }
+        let mut zeros = 0usize;
+        for oc in c0..c0 + cn {
+            let base = shape.index(oc, 0, 0, 0);
+            zeros += kernel.data()[base..base + shape.in_c * kk]
                 .iter()
                 .filter(|&&v| v == 0)
                 .count();
         }
+        zeros as f64 / total as f64
     }
-    zeros as f64 / total as f64
+
+    fn weighted_tile(&mut self, layer: &Layer, out: &Region, store: Option<Codec>) -> usize {
+        let data = compute_tile(layer, self.input, self.kernel(0), out);
+        self.emit(out, &data, store)
+    }
+
+    fn pool_tile(&mut self, layer: &Layer, out: &Region, store: Option<Codec>) -> usize {
+        let LayerKind::Pool { kind, k, stride } = layer.kind else {
+            panic!("{}: not a pool layer", layer.name);
+        };
+        let mut data = vec![0i8; out.volume()];
+        for (ci, c) in (out.c0..out.c0 + out.cn).enumerate() {
+            for (yi, oy) in (out.y0..out.y0 + out.yn).enumerate() {
+                for (xi, ox) in (out.x0..out.x0 + out.xn).enumerate() {
+                    data[(ci * out.yn + yi) * out.xn + xi] = mocha_model::golden::pool_window(
+                        self.input,
+                        kind,
+                        c,
+                        oy * stride,
+                        ox * stride,
+                        k,
+                    );
+                }
+            }
+        }
+        self.emit(out, &data, store)
+    }
+
+    fn fused_tile(&mut self, layers: &[Layer], regions: &[Region], store: Option<Codec>) -> usize {
+        let buf = crate::fusion::cascade(layers, self.input, self.kernels, regions);
+        self.emit(&buf.region, buf.data(), store)
+    }
+}
+
+/// Executes any layer kind under a morph configuration. `store_output =
+/// false` suppresses the DRAM writeback (used when a fused successor
+/// consumes the tile on-chip).
+pub fn execute_layer(
+    ctx: &ExecContext<'_>,
+    layer: &Layer,
+    input: &Tensor<i8>,
+    kernel: Option<&Kernel>,
+    morph: &MorphConfig,
+    store_output: bool,
+) -> Result<LayerRun, CapacityError> {
+    let kernels = [kernel];
+    let mut src = Measured::new(input, &kernels, layer.output());
+    walk_layer(ctx, layer, morph, store_output, &mut src).map(|walk| src.into_run(walk))
 }
 
 /// Computes one output tile functionally (bit-exact), reading the input via
 /// absolute coordinates so padding behaves identically to the golden model.
 /// Returns the tile's output bytes in region-local CHW order.
-pub fn compute_tile(
-    layer: &Layer,
-    input: &Tensor<i8>,
-    kernel: &Kernel,
-    tile: &OutputTile,
-    shift: u32,
-    relu: bool,
-) -> Vec<i8> {
-    let r = &tile.out;
+fn compute_tile(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel, r: &Region) -> Vec<i8> {
+    let (shift, relu) = (layer.requant_shift, layer.has_relu());
     let mut out = vec![0i8; r.volume()];
     match layer.kind {
         LayerKind::Conv { k, stride, pad, .. } => {
@@ -461,12 +324,7 @@ pub fn compute_tile(
                 out[ci] = requantize(acc, shift, relu);
             }
         }
-        LayerKind::DwConv {
-            k,
-            stride,
-            pad,
-            relu,
-        } => {
+        LayerKind::DwConv { k, stride, pad, .. } => {
             let in_shape = layer.input;
             for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
                 for (yi, oy) in (r.y0..r.y0 + r.yn).enumerate() {
@@ -497,7 +355,7 @@ pub fn compute_tile(
 }
 
 /// Writes a region-local tile buffer back into the full output tensor.
-pub fn write_tile(output: &mut Tensor<i8>, r: &Region, data: &[i8]) {
+fn write_tile(output: &mut Tensor<i8>, r: &Region, data: &[i8]) {
     debug_assert_eq!(data.len(), r.volume());
     for ci in 0..r.cn {
         for yi in 0..r.yn {
@@ -510,151 +368,6 @@ pub fn write_tile(output: &mut Tensor<i8>, r: &Region, data: &[i8]) {
                 );
             }
         }
-    }
-}
-
-/// Executes a pooling layer under a morph configuration.
-pub fn execute_pool(
-    ctx: &ExecContext<'_>,
-    layer: &Layer,
-    input: &Tensor<i8>,
-    morph: &MorphConfig,
-    store_output: bool,
-) -> Result<LayerRun, CapacityError> {
-    let LayerKind::Pool { kind, k, stride } = layer.kind else {
-        panic!("{}: not a pool layer", layer.name);
-    };
-    let out_shape = layer.output();
-    let tiling = morph
-        .tiling
-        .clamp(out_shape.c, out_shape.h, out_shape.w, layer.input.c);
-    let tile_list = tiles(layer, tiling, morph.loop_order);
-    let buffer_sets = mocha_fabric::buffer_sets(morph.buffering);
-
-    let mut output = Tensor::zeros(out_shape);
-    let mut spm = Scratchpad::new(ctx.fabric);
-    let mut events = EventCounts::default();
-    let mut compression = CompressionStats::default();
-    let mut phases = Vec::with_capacity(tile_list.len());
-
-    let mut scratch: Vec<i8> = Vec::new();
-    for tile in &tile_list {
-        let win = input_window(layer, &tile.out, tile.out.c0, tile.out.cn);
-        window_bytes_into(layer, input, &win, &mut scratch);
-        let encoded = encode_checked(morph.compression.ifmap, &scratch);
-        compression.record(morph.compression.ifmap, false, scratch.len(), encoded);
-
-        let in_buf = spm.alloc(RegionClass::IfmapTile, encoded * buffer_sets)?;
-        let out_vol = tile.out.volume();
-        let out_buf = spm.alloc(RegionClass::OfmapTile, out_vol * buffer_sets)?;
-
-        let load = streams::load_encoded(encoded, LOAD_LANES);
-        load.count_events(ctx.fabric, &mut events);
-        let load_cycles = load.cycles(ctx.fabric);
-
-        // Pooling runs on the PE array's reduction path.
-        let pool_ops = out_vol as u64 * (k * k) as u64;
-        let active = ctx.fabric.pes().min(out_vol.max(1));
-        let mut phase = mocha_fabric::ComputePhase {
-            active_pes: active,
-            max_macs_per_pe: 0,
-            total_macs: 0,
-            skipped_macs: 0,
-            max_skipped_per_pe: 0,
-            pool_ops,
-        };
-        phase.pool_ops += out_vol as u64; // output write pass
-        phase.count_events(&mut events);
-        let decode_cycles = ctx
-            .codec_costs
-            .decode_cycles(morph.compression.ifmap, scratch.len());
-        events.priced_pj += ctx
-            .codec_costs
-            .energy_pj(morph.compression.ifmap, scratch.len());
-        if morph.compression.ifmap != Codec::None {
-            events.codec_bytes += scratch.len() as u64;
-        }
-        events.spm_read_bytes += encoded as u64;
-        events.spm_write_bytes += out_vol as u64;
-        let feed = scratchpad::stream_cycles(ctx.fabric, encoded as u64, ctx.fabric.spm_banks);
-        let compute_cycles = phase.cycles(ctx.fabric).max(feed).max(decode_cycles);
-
-        // Functional pooling.
-        let mut tile_out = vec![0i8; out_vol];
-        for (ci, c) in (tile.out.c0..tile.out.c0 + tile.out.cn).enumerate() {
-            for (yi, oy) in (tile.out.y0..tile.out.y0 + tile.out.yn).enumerate() {
-                for (xi, ox) in (tile.out.x0..tile.out.x0 + tile.out.xn).enumerate() {
-                    tile_out[(ci * tile.out.yn + yi) * tile.out.xn + xi] =
-                        mocha_model::golden::pool_window(
-                            input,
-                            kind,
-                            c,
-                            oy * stride,
-                            ox * stride,
-                            k,
-                        );
-                }
-            }
-        }
-
-        let store_cycles = if store_output {
-            let enc_out = encode_checked(morph.compression.ofmap, &tile_out);
-            compression.record(morph.compression.ofmap, false, tile_out.len(), enc_out);
-            let t = streams::store_encoded(
-                morph.compression.ofmap,
-                tile_out.len(),
-                enc_out,
-                ctx.codec_costs,
-                STORE_LANES,
-            );
-            t.count_events(ctx.fabric, &mut events);
-            t.cycles(ctx.fabric)
-        } else {
-            0
-        };
-
-        write_tile(&mut output, &tile.out, &tile_out);
-        phases.push(TilePhase {
-            load_cycles,
-            compute_cycles,
-            store_cycles,
-        });
-        spm.free(in_buf);
-        spm.free(out_buf);
-    }
-
-    let cycles = pipeline_cycles(&phases, morph.buffering);
-    events.active_cycles = cycles;
-    Ok(LayerRun {
-        output,
-        cycles,
-        events,
-        spm_peak: spm.peak(),
-        compression,
-        tiles: tile_list.len(),
-        phases,
-    })
-}
-
-/// Executes any layer kind under a morph configuration.
-pub fn execute_layer(
-    ctx: &ExecContext<'_>,
-    layer: &Layer,
-    input: &Tensor<i8>,
-    kernel: Option<&Kernel>,
-    morph: &MorphConfig,
-    store_output: bool,
-) -> Result<LayerRun, CapacityError> {
-    match layer.kind {
-        LayerKind::Pool { .. } => execute_pool(ctx, layer, input, morph, store_output),
-        _ => execute_weighted(
-            ctx,
-            layer,
-            input,
-            kernel.expect("weighted layer needs kernel"),
-            morph,
-            store_output,
-        ),
     }
 }
 
@@ -814,8 +527,8 @@ mod tests {
             compression: CompressionChoice::ON,
             ..base
         };
-        let r_raw = execute_weighted(&ctx, layer, &input, &kernel, &base, true).unwrap();
-        let r_cmp = execute_weighted(&ctx, layer, &input, &kernel, &comp, true).unwrap();
+        let r_raw = execute_layer(&ctx, layer, &input, Some(&kernel), &base, true).unwrap();
+        let r_cmp = execute_layer(&ctx, layer, &input, Some(&kernel), &comp, true).unwrap();
         assert_eq!(r_raw.output, r_cmp.output);
         assert!(
             r_cmp.events.dram_bytes() < r_raw.events.dram_bytes(),
@@ -846,7 +559,7 @@ mod tests {
             tiling: Tiling::whole(32, 32, 32, 16),
             ..default_morph(layer)
         };
-        assert!(execute_weighted(&ctx, layer, &input, &kernel, &morph, true).is_err());
+        assert!(execute_layer(&ctx, layer, &input, Some(&kernel), &morph, true).is_err());
     }
 
     #[test]
@@ -909,8 +622,15 @@ mod tests {
         let mut rng = gen::rng(1);
         let input = gen::activations(layer.input, 0.5, &mut rng);
         let kernel = gen::kernel(layer.kernel_shape().unwrap(), 0.0, &mut rng);
-        let run =
-            execute_weighted(&ctx, layer, &input, &kernel, &default_morph(layer), true).unwrap();
+        let run = execute_layer(
+            &ctx,
+            layer,
+            &input,
+            Some(&kernel),
+            &default_morph(layer),
+            true,
+        )
+        .unwrap();
         assert_eq!(run.events.macs + run.events.macs_skipped, layer.macs());
         assert_eq!(run.events.macs_skipped, 0);
     }

@@ -2,57 +2,34 @@
 //! tile-by-tile without round-tripping intermediate feature maps through
 //! DRAM.
 //!
-//! A [`FusionGroup`] is a run of consecutive layers starting with a conv.
-//! Execution tiles the *final* layer's output; each tile's required region
-//! is back-propagated through the group ([`back_regions`]), the group input
-//! window is fetched once, and every member layer computes its region
-//! on-chip. Overlapping halos between adjacent tiles are **recomputed** —
-//! the classic fused-layer trade: DRAM traffic down, MACs up, on-chip
-//! buffering up. Whether that trade wins is exactly what the morphing
-//! controller evaluates per layer (experiment F7).
+//! A fused group is a run of consecutive layers starting with a conv, held
+//! as a `&[Layer]` slice of the network. The group walk
+//! ([`crate::walk`]) tiles the *final* layer's output; each tile's required
+//! region is back-propagated through the group ([`back_regions`]), the group
+//! input window is fetched once, and every member layer computes its region
+//! on-chip ([`cascade`]). Overlapping halos between adjacent tiles are
+//! **recomputed** — the classic fused-layer trade: DRAM traffic down, MACs
+//! up, on-chip buffering up. Whether that trade wins is exactly what the
+//! morphing controller evaluates per layer (experiment F7).
 //!
 //! Intermediate regions stay *raw* in the scratchpad (encoding between fused
 //! layers would cost codec energy for no wire savings); the group input is
 //! decoded at the port on arrival, and only the final output is re-encoded.
 
+use crate::exec::{ExecContext, LayerRun, Measured};
 use crate::morph::MorphConfig;
-use crate::parallel::{compute_phase, map_tile, TileWork};
-use crate::streams;
-use crate::tiling::{input_window, tiles, Region};
-use mocha_compress::{Codec, CodecCostTable, Compressed, CompressionStats};
-use mocha_energy::EventCounts;
-use mocha_fabric::{
-    pipeline_cycles, scratchpad, CapacityError, FabricConfig, RegionClass, Scratchpad, TilePhase,
-};
+use crate::tiling::{input_window, Region};
+use crate::walk::walk_group;
+use mocha_compress::CodecCostTable;
+use mocha_fabric::{CapacityError, FabricConfig};
 use mocha_model::layer::{Layer, LayerKind};
 use mocha_model::tensor::{requantize, Kernel, Tensor};
 use mocha_model::TensorShape;
-
-/// A run of consecutive layers executed as one fused cascade.
-#[derive(Debug, Clone)]
-pub struct FusionGroup {
-    /// Index of the first layer within the network.
-    pub start: usize,
-    /// The member layers, in execution order.
-    pub layers: Vec<Layer>,
-}
 
 /// Maximum number of layers a group may contain. Deeper cascades explode
 /// halo recomputation and buffering without additional DRAM savings on the
 /// networks evaluated.
 pub const MAX_GROUP_DEPTH: usize = 3;
-
-impl FusionGroup {
-    /// The group's final layer.
-    pub fn last(&self) -> &Layer {
-        self.layers.last().expect("group is never empty")
-    }
-
-    /// True if the group is a single layer (no fusion).
-    pub fn is_singleton(&self) -> bool {
-        self.layers.len() == 1
-    }
-}
 
 /// Whether `next` may be appended to a group currently ending in `last`.
 ///
@@ -327,482 +304,48 @@ fn compute_region(
     buf
 }
 
-/// Result of executing a fused group (mirrors `exec::LayerRun` but the
-/// output is the *final* layer's feature map).
-#[derive(Debug, Clone)]
-pub struct GroupRun {
-    /// The group's final output feature map.
-    pub output: Tensor<i8>,
-    /// Total cycles.
-    pub cycles: u64,
-    /// Hardware events.
-    pub events: EventCounts,
-    /// Scratchpad high-water mark.
-    pub spm_peak: usize,
-    /// Compression accounting.
-    pub compression: CompressionStats,
-    /// Output tiles executed.
-    pub tiles: usize,
-    /// Dense MACs actually performed, including halo recomputation (≥ the
-    /// sum of member layers' nominal MACs).
-    pub performed_macs: u64,
-    /// The tile phases that were scheduled (for trace/Gantt rendering).
-    pub phases: Vec<TilePhase>,
+/// Runs the member layers over their `regions` (as derived by
+/// [`back_regions`]) on one tile, reading the group input from `input`;
+/// returns the final member's region (bit-exact).
+pub(crate) fn cascade(
+    layers: &[Layer],
+    input: &Tensor<i8>,
+    kernels: &[Option<&Kernel>],
+    regions: &[Region],
+) -> RegionBuf {
+    let mut current = compute_region(&layers[0], &Input::Full(input), kernels[0], regions[0]);
+    for i in 1..layers.len() {
+        current = compute_region(
+            &layers[i],
+            &Input::Partial(&current),
+            kernels[i],
+            regions[i],
+        );
+    }
+    current
 }
 
-const LOAD_LANES: usize = 2;
-const STORE_LANES: usize = 2;
-
-/// Executes a fused group functionally with exact timing/energy accounting.
+/// Executes a fused group of consecutive `layers` functionally, with exact
+/// timing and energy accounting.
 ///
 /// `kernels[i]` must be `Some` exactly for the weighted members.
 pub fn execute_group(
     fabric: &FabricConfig,
     codec_costs: &CodecCostTable,
-    group: &FusionGroup,
+    layers: &[Layer],
     input: &Tensor<i8>,
     kernels: &[Option<&Kernel>],
     morph: &MorphConfig,
     store_output: bool,
-) -> Result<GroupRun, CapacityError> {
-    assert_eq!(kernels.len(), group.layers.len());
-    let last = group.last();
-    let out_shape = last.output();
-    let tiling = morph.tiling.clamp(out_shape.c, out_shape.h, out_shape.w, 1);
-    let tile_list = tiles(last, tiling, morph.loop_order);
-    let buffer_sets = mocha_fabric::buffer_sets(morph.buffering);
-
-    let mut output = Tensor::zeros(out_shape);
-    let mut spm = Scratchpad::new(fabric);
-    let mut events = EventCounts::default();
-    let mut compression = CompressionStats::default();
-    let mut phases: Vec<TilePhase> = Vec::with_capacity(tile_list.len() + group.layers.len());
-    let mut performed_macs = 0u64;
-
-    // ---- pin every member kernel once, encoded ------------------------
-    let mut kernel_regions = Vec::new();
-    let mut kernel_encoded_total = 0usize;
-    for (i, layer) in group.layers.iter().enumerate() {
-        if let Some(kernel) = kernels[i] {
-            let enc = Compressed::encode(morph.compression.kernel, kernel.data());
-            debug_assert_eq!(enc.decode(), kernel.data());
-            compression.record(
-                morph.compression.kernel,
-                true,
-                kernel.data().len(),
-                enc.bytes(),
-            );
-            let region = spm.alloc(RegionClass::KernelBlock, enc.bytes())?;
-            kernel_regions.push(region);
-            kernel_encoded_total += enc.bytes();
-            let t = streams::load_encoded(enc.bytes(), LOAD_LANES);
-            t.count_events(fabric, &mut events);
-            phases.push(TilePhase {
-                load_cycles: t.cycles(fabric),
-                compute_cycles: 0,
-                store_cycles: 0,
-            });
-        } else {
-            debug_assert!(matches!(layer.kind, LayerKind::Pool { .. }));
-        }
-    }
-
-    for tile in &tile_list {
-        let (regions, input_win) = back_regions(&group.layers, tile.out);
-
-        // ---- group input window: decoded at the port, raw in SPM -------
-        // Guard the degenerate all-padding window (possible with k=1 and
-        // generous padding on the first member).
-        let raw_window: Vec<i8> = if input_win.volume() == 0 {
-            Vec::new()
-        } else {
-            input
-                .window(
-                    input_win.c0,
-                    input_win.cn,
-                    input_win.y0,
-                    input_win.yn,
-                    input_win.x0,
-                    input_win.xn,
-                )
-                .data()
-                .to_vec()
-        };
-        let enc_in = Compressed::encode(morph.compression.ifmap, &raw_window);
-        debug_assert_eq!(enc_in.decode(), raw_window);
-        compression.record(
-            morph.compression.ifmap,
-            false,
-            raw_window.len(),
-            enc_in.bytes(),
-        );
-        let in_buf = spm.alloc(RegionClass::IfmapTile, raw_window.len() * buffer_sets)?;
-        let load = streams::load_decode_at_port(
-            morph.compression.ifmap,
-            raw_window.len(),
-            enc_in.bytes(),
-            codec_costs,
-            LOAD_LANES,
-        );
-        load.count_events(fabric, &mut events);
-        let load_cycles = load.cycles(fabric);
-
-        // ---- intermediate region buffers --------------------------------
-        let mut inter_bufs = Vec::new();
-        for region in regions.iter().take(regions.len() - 1) {
-            inter_bufs.push(spm.alloc(RegionClass::FusionBuffer, region.volume())?);
-        }
-        // Largest weighted member needs an i32 accumulator for its region.
-        let max_acc = group
-            .layers
-            .iter()
-            .zip(&regions)
-            .filter(|(l, _)| l.has_weights())
-            .map(|(_, r)| 4 * r.volume())
-            .max()
-            .unwrap_or(0);
-        let acc_buf = spm.alloc(RegionClass::OfmapTile, max_acc)?;
-        let stage_buf = spm.alloc(RegionClass::OfmapTile, tile.out.volume() * buffer_sets)?;
-
-        // ---- per-layer compute (sequential cascade) ----------------------
-        let mut compute_cycles = 0u64;
-        let mut current: Option<RegionBuf> = None;
-        for (i, layer) in group.layers.iter().enumerate() {
-            let region = regions[i];
-            let reader = match &current {
-                None => Input::Full({
-                    // The functional read goes through the full input tensor;
-                    // equality with the decoded window is asserted above.
-                    input
-                }),
-                Some(buf) => Input::Partial(buf),
-            };
-            let produced = compute_region(layer, &reader, kernels[i], region);
-
-            match layer.kind {
-                LayerKind::Conv { .. } | LayerKind::DwConv { .. } | LayerKind::Pointwise { .. } => {
-                    let k = match layer.kind {
-                        LayerKind::Conv { k, .. } | LayerKind::DwConv { k, .. } => k,
-                        _ => 1, // pointwise
-                    };
-                    let kernel = kernels[i].expect("weighted layer needs weights");
-                    let reduction_c = if matches!(layer.kind, LayerKind::DwConv { .. }) {
-                        1
-                    } else {
-                        layer.input.c
-                    };
-                    let work = TileWork {
-                        out_channels: region.cn,
-                        spatial: region.plane(),
-                        macs_per_output: (reduction_c * k * k) as u64,
-                    };
-                    performed_macs += work.dense_macs();
-                    let skip = if morph.compression.kernel == Codec::Bitmask {
-                        kernel.sparsity()
-                    } else {
-                        0.0
-                    };
-                    let mapping = map_tile(&work, fabric.pes(), morph.parallelism);
-                    let mut phase = compute_phase(&work, &mapping, skip);
-                    phase.pool_ops += region.volume() as u64;
-                    phase.count_events(&mut events);
-                    // Kernel decode at feed: this layer's share of pinned bytes.
-                    let kraw = kernel.data().len() * region.cn / layer.output().c.max(1);
-                    let dec = codec_costs.decode_cycles(morph.compression.kernel, kraw);
-                    events.priced_pj += codec_costs.energy_pj(morph.compression.kernel, kraw);
-                    if morph.compression.kernel != Codec::None {
-                        events.codec_bytes += kraw as u64;
-                    }
-                    // Input region read + output region write (raw, on-chip).
-                    let in_bytes = match &current {
-                        None => raw_window.len(),
-                        Some(buf) => buf.data().len(),
-                    } as u64;
-                    events.spm_read_bytes += in_bytes;
-                    events.spm_write_bytes += region.volume() as u64;
-                    let feed = scratchpad::stream_cycles(fabric, in_bytes, fabric.spm_banks);
-                    compute_cycles += phase.cycles(fabric).max(feed).max(dec);
-                }
-                LayerKind::Pool { k, .. } => {
-                    let pool_ops = region.volume() as u64 * (k * k) as u64;
-                    let active = fabric.pes().min(region.volume().max(1));
-                    let phase = mocha_fabric::ComputePhase {
-                        active_pes: active,
-                        max_macs_per_pe: 0,
-                        total_macs: 0,
-                        skipped_macs: 0,
-                        max_skipped_per_pe: 0,
-                        pool_ops: pool_ops + region.volume() as u64,
-                    };
-                    phase.count_events(&mut events);
-                    let in_bytes = current
-                        .as_ref()
-                        .map(|b| b.data().len())
-                        .unwrap_or(raw_window.len()) as u64;
-                    events.spm_read_bytes += in_bytes;
-                    events.spm_write_bytes += region.volume() as u64;
-                    compute_cycles += phase.cycles(fabric);
-                }
-                LayerKind::Fc { .. } => unreachable!(),
-            }
-            current = Some(produced);
-        }
-
-        // ---- store final region -----------------------------------------
-        let final_buf = current.expect("group produced no output");
-        debug_assert_eq!(final_buf.region, tile.out);
-        let store_cycles = if store_output {
-            let enc = Compressed::encode(morph.compression.ofmap, final_buf.data());
-            debug_assert_eq!(enc.decode(), final_buf.data());
-            compression.record(
-                morph.compression.ofmap,
-                false,
-                final_buf.data().len(),
-                enc.bytes(),
-            );
-            let t = streams::store_encoded(
-                morph.compression.ofmap,
-                final_buf.data().len(),
-                enc.bytes(),
-                codec_costs,
-                STORE_LANES,
-            );
-            t.count_events(fabric, &mut events);
-            t.cycles(fabric)
-        } else {
-            0
-        };
-
-        crate::exec::write_tile(&mut output, &tile.out, final_buf.data());
-        phases.push(TilePhase {
-            load_cycles,
-            compute_cycles,
-            store_cycles,
-        });
-
-        spm.free(in_buf);
-        for b in inter_bufs {
-            spm.free(b);
-        }
-        spm.free(acc_buf);
-        spm.free(stage_buf);
-    }
-
-    for r in kernel_regions {
-        spm.free(r);
-    }
-    // Unused but documented: kernel_encoded_total reserved for feed modeling.
-    let _ = kernel_encoded_total;
-
-    let cycles = pipeline_cycles(&phases, morph.buffering);
-    events.active_cycles = cycles;
-    Ok(GroupRun {
-        output,
-        cycles,
-        events,
-        spm_peak: spm.peak(),
-        compression,
-        tiles: tile_list.len(),
-        performed_macs,
-        phases,
-    })
-}
-
-/// Analytical mirror of [`execute_group`] for the morphing controller: same
-/// traversal, estimated stream sizes (see [`crate::plan`] for the
-/// anti-divergence contract — exact equality for uncompressed configs).
-pub fn plan_group(
-    ctx: &crate::plan::PlanContext<'_>,
-    group: &FusionGroup,
-    kernel_shapes: &[Option<mocha_model::KernelShape>],
-    morph: &MorphConfig,
-    est: &crate::plan::SparsityEstimate,
-    store_output: bool,
-) -> Result<crate::plan::LayerPlan, CapacityError> {
-    assert_eq!(kernel_shapes.len(), group.layers.len());
-    let fabric = ctx.fabric;
-    let codec_costs = ctx.codec_costs;
-    let last = group.last();
-    let out_shape = last.output();
-    let tiling = morph.tiling.clamp(out_shape.c, out_shape.h, out_shape.w, 1);
-    let tile_list = tiles(last, tiling, morph.loop_order);
-    let buffer_sets = mocha_fabric::buffer_sets(morph.buffering);
-
-    let mut spm = crate::plan::planning_scratchpad(fabric, morph);
-    let mut events = EventCounts::default();
-    let mut phases: Vec<TilePhase> = Vec::with_capacity(tile_list.len() + group.layers.len());
-
-    // Pinned kernels.
-    let mut kernel_regions = Vec::new();
-    let mut kernel_enc_bytes: Vec<usize> = Vec::with_capacity(group.layers.len());
-    for ks in kernel_shapes {
-        if let Some(ks) = ks {
-            let enc =
-                morph
-                    .compression
-                    .kernel
-                    .estimated_size(ks.volume(), est.kernel_sparsity, 1.0);
-            kernel_enc_bytes.push(enc);
-            let region = spm.alloc(RegionClass::KernelBlock, enc)?;
-            kernel_regions.push(region);
-            let t = streams::load_encoded(enc, LOAD_LANES);
-            t.count_events(fabric, &mut events);
-            phases.push(TilePhase {
-                load_cycles: t.cycles(fabric),
-                compute_cycles: 0,
-                store_cycles: 0,
-            });
-        } else {
-            kernel_enc_bytes.push(0);
-        }
-    }
-
-    for tile in &tile_list {
-        let (regions, input_win) = back_regions(&group.layers, tile.out);
-        let raw_in = input_win.volume();
-        let enc_in =
-            morph
-                .compression
-                .ifmap
-                .estimated_size(raw_in, est.ifmap_sparsity, est.ifmap_mean_run);
-        let in_buf = spm.alloc(RegionClass::IfmapTile, raw_in * buffer_sets)?;
-        let load = streams::load_decode_at_port(
-            morph.compression.ifmap,
-            raw_in,
-            enc_in,
-            codec_costs,
-            LOAD_LANES,
-        );
-        load.count_events(fabric, &mut events);
-        let load_cycles = load.cycles(fabric);
-
-        let mut inter_bufs = Vec::new();
-        for region in regions.iter().take(regions.len() - 1) {
-            inter_bufs.push(spm.alloc(RegionClass::FusionBuffer, region.volume())?);
-        }
-        let max_acc = group
-            .layers
-            .iter()
-            .zip(&regions)
-            .filter(|(l, _)| l.has_weights())
-            .map(|(_, r)| 4 * r.volume())
-            .max()
-            .unwrap_or(0);
-        let acc_buf = spm.alloc(RegionClass::OfmapTile, max_acc)?;
-        let stage_buf = spm.alloc(RegionClass::OfmapTile, tile.out.volume() * buffer_sets)?;
-
-        let mut compute_cycles = 0u64;
-        let mut prev_bytes = raw_in;
-        for (i, layer) in group.layers.iter().enumerate() {
-            let region = regions[i];
-            match layer.kind {
-                LayerKind::Conv { .. } | LayerKind::DwConv { .. } | LayerKind::Pointwise { .. } => {
-                    let k = match layer.kind {
-                        LayerKind::Conv { k, .. } | LayerKind::DwConv { k, .. } => k,
-                        _ => 1, // pointwise
-                    };
-                    let reduction_c = if matches!(layer.kind, LayerKind::DwConv { .. }) {
-                        1
-                    } else {
-                        layer.input.c
-                    };
-                    let work = TileWork {
-                        out_channels: region.cn,
-                        spatial: region.plane(),
-                        macs_per_output: (reduction_c * k * k) as u64,
-                    };
-                    let skip = if morph.compression.kernel == Codec::Bitmask {
-                        est.kernel_sparsity
-                    } else {
-                        0.0
-                    };
-                    let mapping = map_tile(&work, fabric.pes(), morph.parallelism);
-                    let mut phase = compute_phase(&work, &mapping, skip);
-                    phase.pool_ops += region.volume() as u64;
-                    phase.count_events(&mut events);
-                    let kraw = kernel_shapes[i].as_ref().map(|k| k.volume()).unwrap_or(0)
-                        * region.cn
-                        / layer.output().c.max(1);
-                    let dec = codec_costs.decode_cycles(morph.compression.kernel, kraw);
-                    events.priced_pj += codec_costs.energy_pj(morph.compression.kernel, kraw);
-                    if morph.compression.kernel != Codec::None {
-                        events.codec_bytes += kraw as u64;
-                    }
-                    events.spm_read_bytes += prev_bytes as u64;
-                    events.spm_write_bytes += region.volume() as u64;
-                    let feed =
-                        scratchpad::stream_cycles(fabric, prev_bytes as u64, fabric.spm_banks);
-                    compute_cycles += phase.cycles(fabric).max(feed).max(dec);
-                }
-                LayerKind::Pool { k, .. } => {
-                    let pool_ops = region.volume() as u64 * (k * k) as u64;
-                    let active = fabric.pes().min(region.volume().max(1));
-                    let phase = mocha_fabric::ComputePhase {
-                        active_pes: active,
-                        max_macs_per_pe: 0,
-                        total_macs: 0,
-                        skipped_macs: 0,
-                        max_skipped_per_pe: 0,
-                        pool_ops: pool_ops + region.volume() as u64,
-                    };
-                    phase.count_events(&mut events);
-                    events.spm_read_bytes += prev_bytes as u64;
-                    events.spm_write_bytes += region.volume() as u64;
-                    compute_cycles += phase.cycles(fabric);
-                }
-                LayerKind::Fc { .. } => unreachable!(),
-            }
-            prev_bytes = region.volume();
-        }
-
-        let store_cycles = if store_output {
-            let out_vol = tile.out.volume();
-            let enc = morph.compression.ofmap.estimated_size(
-                out_vol,
-                est.ofmap_sparsity,
-                est.ofmap_mean_run,
-            );
-            let t = streams::store_encoded(
-                morph.compression.ofmap,
-                out_vol,
-                enc,
-                codec_costs,
-                STORE_LANES,
-            );
-            t.count_events(fabric, &mut events);
-            t.cycles(fabric)
-        } else {
-            0
-        };
-
-        phases.push(TilePhase {
-            load_cycles,
-            compute_cycles,
-            store_cycles,
-        });
-        spm.free(in_buf);
-        for b in inter_bufs {
-            spm.free(b);
-        }
-        spm.free(acc_buf);
-        spm.free(stage_buf);
-    }
-
-    for r in kernel_regions {
-        spm.free(r);
-    }
-
-    let cycles = pipeline_cycles(&phases, morph.buffering);
-    events.active_cycles = cycles;
-    let energy_pj = ctx.energy.price(&events).total_pj();
-    Ok(crate::plan::LayerPlan {
-        cycles,
-        events,
-        energy_pj,
-        spm_peak: spm.peak(),
-        dram_bytes: events.dram_bytes(),
-        tiles: tile_list.len(),
-    })
+) -> Result<LayerRun, CapacityError> {
+    assert_eq!(kernels.len(), layers.len());
+    let ctx = ExecContext {
+        fabric,
+        codec_costs,
+    };
+    let last = layers.last().expect("group is never empty");
+    let mut src = Measured::new(input, kernels, last.output());
+    walk_group(&ctx, layers, morph, store_output, &mut src).map(|walk| src.into_run(walk))
 }
 
 #[cfg(test)]
@@ -810,15 +353,54 @@ mod tests {
     use super::*;
     use crate::exec::default_morph;
     use crate::morph::CompressionChoice;
+    use crate::plan::{LayerPlan, PlanContext, SparsityEstimate};
+    use mocha_compress::Codec;
     use mocha_model::gen::{SparsityProfile, Workload};
-    use mocha_model::{golden, network};
+    use mocha_model::{golden, network, KernelShape};
 
-    fn tiny_group(w: &Workload, start: usize, len: usize) -> (FusionGroup, Vec<Option<&Kernel>>) {
+    /// A group of `tiny`'s layers. It derefs to the `&[Layer]` the group
+    /// entries take.
+    struct Group {
+        layers: Vec<Layer>,
+    }
+
+    impl Group {
+        fn last(&self) -> &Layer {
+            self.layers.last().expect("group is never empty")
+        }
+    }
+
+    impl std::ops::Deref for Group {
+        type Target = [Layer];
+        fn deref(&self) -> &[Layer] {
+            &self.layers
+        }
+    }
+
+    fn tiny_group(w: &Workload, start: usize, len: usize) -> (Group, Vec<Option<&Kernel>>) {
         let layers: Vec<Layer> = w.network.layers()[start..start + len].to_vec();
         let kernels: Vec<Option<&Kernel>> = (start..start + len)
             .map(|i| w.kernels[i].as_ref())
             .collect();
-        (FusionGroup { start, layers }, kernels)
+        (Group { layers }, kernels)
+    }
+
+    /// [`crate::plan::plan_group`] called with the members' kernel shapes
+    /// as well, the way the anti-divergence test below calls it. The walk
+    /// reads the shapes from the layers, so they are only checked.
+    fn plan_group(
+        ctx: &PlanContext<'_>,
+        layers: &[Layer],
+        shapes: &[Option<KernelShape>],
+        morph: &MorphConfig,
+        est: &SparsityEstimate,
+        store_output: bool,
+    ) -> Result<LayerPlan, CapacityError> {
+        assert!(layers
+            .iter()
+            .map(Layer::kernel_shape)
+            .eq(shapes.iter().copied()));
+        crate::plan::plan_group(ctx, layers, morph, est, store_output)
     }
 
     #[test]
@@ -884,7 +466,8 @@ mod tests {
         let morph = default_morph(group.last());
         let run = execute_group(&fabric, &costs, &group, &w.input, &kernels, &morph, true).unwrap();
         assert_eq!(run.output, golden_outs[1], "fused conv+pool mismatch");
-        assert!(run.performed_macs >= w.network.layers()[0].macs());
+        // Halo recomputation: the group performs at least the conv's MACs.
+        assert!(run.events.macs + run.events.macs_skipped >= w.network.layers()[0].macs());
     }
 
     #[test]

@@ -7,10 +7,13 @@
 //!   per-stream codecs, buffering) the controller chooses from;
 //! * [`tiling`] / [`parallel`] — tile geometry and PE-array mapping;
 //! * [`streams`] — codec-aware memory-path transfers;
-//! * [`exec`] — bit-exact functional execution of one layer with exact
-//!   timing/energy accounting;
-//! * [`plan`] — the analytical mirror of `exec` the controller uses to
-//!   search the configuration space without touching data;
+//! * `walk` — the tile walks (singleton weighted, singleton pool, fused
+//!   group), each written once and generic over where its stream sizes
+//!   come from;
+//! * [`exec`] — the walks over live tensors: bit-exact functional
+//!   execution with exact timing/energy accounting;
+//! * [`plan`] — the walks over sparsity estimates, which the controller
+//!   uses to search the configuration space without touching data;
 //! * [`fusion`] — layer merging (cascaded execution of conv/pool groups
 //!   without DRAM round-trips);
 //! * [`controller`] — the "intelligence": per-layer design-space search
@@ -36,6 +39,7 @@ pub mod simulator;
 pub mod streams;
 pub mod tiling;
 pub mod trace;
+mod walk;
 
 pub use baseline::Accelerator;
 pub use cache::{CacheDelta, DecisionCache, DecisionKey, DecisionShard};

@@ -1,27 +1,26 @@
-//! Analytical layer planning — the cost model behind the morphing
-//! controller's "intelligence".
+//! Analytical planning — the cost model behind the morphing controller's
+//! "intelligence".
 //!
-//! [`plan_layer`] mirrors [`crate::exec`]'s traversal arithmetically: same
-//! tile geometry, same pipeline phases, same event accounting — but stream
-//! sizes come from sparsity *estimates* instead of real data, so thousands
-//! of candidate configurations can be scored without touching tensors.
+//! Planning is the [`crate::walk`] traversal run with [`Estimated`]
+//! streams: the same tile geometry, pipeline phases and event accounting as
+//! execution ([`crate::exec`]), but stream sizes come from sparsity
+//! *estimates* instead of real data, so thousands of candidate
+//! configurations can be scored without touching tensors.
 //!
-//! The anti-divergence contract, enforced by tests: for uncompressed
-//! configurations the plan is **exactly equal** to the execution (cycles,
-//! DRAM bytes, scratchpad peak), because with `Codec::None` estimated sizes
-//! are exact. Compressed plans differ only by the codec-size estimation
-//! error.
+//! Because the walk is shared, an uncompressed plan is **exactly equal** to
+//! its execution (cycles, DRAM bytes, scratchpad peak): with `Codec::None`
+//! estimated sizes are exact. Compressed plans differ only by the
+//! codec-size estimation error and the bitmask skip estimate. Tests pin
+//! both.
 
-use crate::morph::{LoopOrder, MorphConfig};
-use crate::parallel::{compute_phase, map_tile, TileWork};
-use crate::streams;
-use crate::tiling::{input_window, reduction_depth, reduction_slabs, tiles};
+use crate::exec::ExecContext;
+use crate::morph::MorphConfig;
+use crate::tiling::Region;
+use crate::walk::{walk_group, walk_layer, StreamSource, WalkTotals};
 use mocha_compress::{Codec, CodecCostTable};
 use mocha_energy::{EnergyTable, EventCounts};
-use mocha_fabric::{
-    pipeline_cycles, scratchpad, CapacityError, FabricConfig, RegionClass, Scratchpad, TilePhase,
-};
-use mocha_model::layer::{Layer, LayerKind};
+use mocha_fabric::{CapacityError, FabricConfig, Scratchpad};
+use mocha_model::layer::Layer;
 
 /// Sparsity statistics the planner prices codecs with. The simulator feeds
 /// it measured statistics of the live tensors (the layer's actual input is
@@ -64,7 +63,8 @@ pub struct PlanContext<'a> {
     pub energy: &'a EnergyTable,
 }
 
-/// Analytical prediction for one layer under one morph configuration.
+/// Analytical prediction for one layer or fused group under one morph
+/// configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LayerPlan {
     /// Predicted cycles.
@@ -82,6 +82,18 @@ pub struct LayerPlan {
 }
 
 impl LayerPlan {
+    /// The plan of a walk: its totals, priced.
+    fn priced(walk: WalkTotals, energy: &EnergyTable) -> Self {
+        Self {
+            cycles: walk.cycles,
+            events: walk.events,
+            energy_pj: energy.price(&walk.events).total_pj(),
+            spm_peak: walk.spm_peak,
+            dram_bytes: walk.events.dram_bytes(),
+            tiles: walk.tiles,
+        }
+    }
+
     /// Energy-delay product in (pJ · cycles) — consistent units are all the
     /// controller's ranking needs.
     pub fn edp(&self) -> f64 {
@@ -89,348 +101,77 @@ impl LayerPlan {
     }
 }
 
-const LOAD_LANES: usize = 2;
-const STORE_LANES: usize = 2;
+/// The planning [`StreamSource`]: encoded sizes are the codecs' estimates
+/// under a [`SparsityEstimate`], and no tensor is touched.
+struct Estimated<'a>(&'a SparsityEstimate);
 
-/// Scratchpad the planner allocates against. Compressed stream sizes are
-/// estimates, so a compressed plan provisions a 2 % capacity margin to keep
-/// the actual execution from overflowing on unlucky data; uncompressed
-/// plans use exact sizes and the full capacity (preserving the exact
-/// plan≡exec equality the tests pin).
-pub(crate) fn planning_scratchpad(fabric: &FabricConfig, morph: &MorphConfig) -> Scratchpad {
-    let cap = fabric.spm_bytes();
-    if morph.compression.any() {
-        Scratchpad::with_capacity(cap - cap / 50)
-    } else {
-        Scratchpad::with_capacity(cap)
-    }
-}
-
-/// Estimated encoded size of an activation stream.
-fn est_act(codec: Codec, elements: usize, est: &SparsityEstimate) -> usize {
-    codec.estimated_size(elements, est.ifmap_sparsity, est.ifmap_mean_run)
-}
-
-/// Estimated encoded size of a kernel stream.
-fn est_kern(codec: Codec, elements: usize, est: &SparsityEstimate) -> usize {
-    codec.estimated_size(elements, est.kernel_sparsity, 1.0)
-}
-
-/// Estimated encoded size of the output stream.
-fn est_out(codec: Codec, elements: usize, est: &SparsityEstimate) -> usize {
-    codec.estimated_size(elements, est.ofmap_sparsity, est.ofmap_mean_run)
-}
-
-/// Raw element count of an input window, handling the fc flat case.
-fn window_elems(layer: &Layer, win: &crate::tiling::Region) -> usize {
-    match layer.kind {
-        LayerKind::Fc { .. } => win.cn,
-        _ => win.volume(),
-    }
-}
-
-/// Mirror of the accumulator-traffic rule in `exec`.
-fn accumulator_traffic(out_volume: usize, slabs: usize) -> (u64, u64) {
-    if slabs <= 1 {
-        (0, 0)
-    } else {
-        let vol = out_volume as u64;
-        (4 * vol * slabs as u64, 4 * vol * slabs as u64)
-    }
-}
-
-/// Plans a conv/fc layer (see [`crate::exec::execute_weighted`] for the
-/// semantics being mirrored).
-pub fn plan_weighted(
-    ctx: &PlanContext<'_>,
-    layer: &Layer,
-    morph: &MorphConfig,
-    est: &SparsityEstimate,
-    store_output: bool,
-) -> Result<LayerPlan, CapacityError> {
-    let out_shape = layer.output();
-    let depth = reduction_depth(layer);
-    let k = match layer.kind {
-        LayerKind::Conv { k, .. } | LayerKind::DwConv { k, .. } => k,
-        LayerKind::Pointwise { .. } | LayerKind::Fc { .. } => 1,
-        LayerKind::Pool { .. } => panic!("{}: pool layer on weighted path", layer.name),
-    };
-    let depth_c = match layer.kind {
-        LayerKind::Fc { .. } => depth,
-        LayerKind::DwConv { .. } => 1,
-        _ => layer.input.c,
-    };
-
-    let tiling = morph
-        .tiling
-        .clamp(out_shape.c, out_shape.h, out_shape.w, depth);
-    let slabs = reduction_slabs(depth, tiling.tile_ic);
-    let tile_list = tiles(layer, tiling, morph.loop_order);
-    let buffer_sets = mocha_fabric::buffer_sets(morph.buffering);
-
-    let mut spm = planning_scratchpad(ctx.fabric, morph);
-    let mut events = EventCounts::default();
-    let mut phases: Vec<TilePhase> = Vec::with_capacity(tile_list.len() + 8);
-    let mut pinned: Option<(usize, mocha_fabric::RegionId, usize)> = None;
-
-    for tile in &tile_list {
-        let out_vol = tile.out.volume();
-
-        let pin_key = match morph.loop_order {
-            LoopOrder::WeightStationary => tile.oc_block,
-            LoopOrder::InputStationary => tile.spatial_block,
-        };
-        let pinned_encoded = match &pinned {
-            Some((key, _, bytes)) if *key == pin_key => *bytes,
-            _ => {
-                if let Some((_, region, _)) = pinned.take() {
-                    spm.free(region);
-                }
-                let (class, encoded) = match morph.loop_order {
-                    LoopOrder::WeightStationary => {
-                        let raw = tile.out.cn * depth_c * k * k;
-                        (
-                            RegionClass::KernelBlock,
-                            est_kern(morph.compression.kernel, raw, est),
-                        )
-                    }
-                    LoopOrder::InputStationary => {
-                        let win = input_window(layer, &tile.out, 0, depth);
-                        let raw = window_elems(layer, &win);
-                        (
-                            RegionClass::IfmapTile,
-                            est_act(morph.compression.ifmap, raw, est),
-                        )
-                    }
-                };
-                let region = spm.alloc(class, encoded)?;
-                let transfer = streams::load_encoded(encoded, LOAD_LANES);
-                transfer.count_events(ctx.fabric, &mut events);
-                phases.push(TilePhase {
-                    load_cycles: transfer.cycles(ctx.fabric),
-                    compute_cycles: 0,
-                    store_cycles: 0,
-                });
-                pinned = Some((pin_key, region, encoded));
-                encoded
-            }
-        };
-
-        let mut load_cycles = 0u64;
-        let mut streamed_encoded_total = 0usize;
-        let mut max_slab_encoded = 0usize;
-        let mut ifmap_raw_tile = 0usize;
-        let mut kernel_raw_tile = 0usize;
-        for &(ic0, icn) in &slabs {
-            let (raw, encoded, is_kernel) = match morph.loop_order {
-                LoopOrder::WeightStationary => {
-                    let win = input_window(layer, &tile.out, ic0, icn);
-                    let raw = window_elems(layer, &win);
-                    (raw, est_act(morph.compression.ifmap, raw, est), false)
-                }
-                LoopOrder::InputStationary => {
-                    let raw = tile.out.cn * icn * k * k;
-                    (raw, est_kern(morph.compression.kernel, raw, est), true)
-                }
-            };
-            if is_kernel {
-                kernel_raw_tile += raw;
-            } else {
-                ifmap_raw_tile += raw;
-            }
-            streamed_encoded_total += encoded;
-            max_slab_encoded = max_slab_encoded.max(encoded);
-            let transfer = streams::load_encoded(encoded, LOAD_LANES);
-            transfer.count_events(ctx.fabric, &mut events);
-            load_cycles += transfer.cycles(ctx.fabric);
-        }
-        match morph.loop_order {
-            LoopOrder::WeightStationary => kernel_raw_tile += tile.out.cn * depth_c * k * k,
-            LoopOrder::InputStationary => {
-                let win = input_window(layer, &tile.out, 0, depth);
-                ifmap_raw_tile += window_elems(layer, &win);
-            }
-        }
-
-        let slab_buf = spm.alloc(RegionClass::IfmapTile, max_slab_encoded * buffer_sets)?;
-        let acc_buf = spm.alloc(RegionClass::OfmapTile, 4 * out_vol)?;
-        let stage_buf = spm.alloc(RegionClass::OfmapTile, out_vol * buffer_sets)?;
-
-        let work = TileWork {
-            out_channels: tile.out.cn,
-            spatial: tile.out.plane(),
-            macs_per_output: (depth * k * k) as u64,
-        };
-        let skip_fraction = if morph.compression.kernel == Codec::Bitmask {
-            est.kernel_sparsity
+impl StreamSource for Estimated<'_> {
+    /// Compressed stream sizes are estimates, so a compressed plan
+    /// provisions a 2 % capacity margin to keep the actual execution from
+    /// overflowing on unlucky data; uncompressed plans use exact sizes and
+    /// the full capacity (preserving the exact plan≡exec equality the tests
+    /// pin).
+    fn scratchpad(&self, fabric: &FabricConfig, morph: &MorphConfig) -> Scratchpad {
+        let cap = fabric.spm_bytes();
+        if morph.compression.any() {
+            Scratchpad::with_capacity(cap - cap / 50)
         } else {
-            0.0
-        };
-        let mapping = map_tile(&work, ctx.fabric.pes(), morph.parallelism);
-        let mut pe_phase = compute_phase(&work, &mapping, skip_fraction);
-        pe_phase.pool_ops += out_vol as u64;
-        pe_phase.count_events(&mut events);
-        let pe_cycles = pe_phase.cycles(ctx.fabric);
-
-        let feed_bytes = streamed_encoded_total as u64 + pinned_encoded as u64;
-        let (acc_w, acc_r) = accumulator_traffic(out_vol, slabs.len());
-        events.spm_read_bytes += feed_bytes + acc_r;
-        events.spm_write_bytes += acc_w + out_vol as u64;
-        let feed_cycles =
-            scratchpad::stream_cycles(ctx.fabric, feed_bytes + acc_r + acc_w, ctx.fabric.spm_banks);
-
-        let decode_cycles = ctx
-            .codec_costs
-            .decode_cycles(morph.compression.ifmap, ifmap_raw_tile)
-            + ctx
-                .codec_costs
-                .decode_cycles(morph.compression.kernel, kernel_raw_tile);
-        events.priced_pj += ctx
-            .codec_costs
-            .energy_pj(morph.compression.ifmap, ifmap_raw_tile)
-            + ctx
-                .codec_costs
-                .energy_pj(morph.compression.kernel, kernel_raw_tile);
-        if morph.compression.ifmap != Codec::None {
-            events.codec_bytes += ifmap_raw_tile as u64;
+            Scratchpad::with_capacity(cap)
         }
-        if morph.compression.kernel != Codec::None {
-            events.codec_bytes += kernel_raw_tile as u64;
-        }
-        let compute_cycles = pe_cycles.max(feed_cycles).max(decode_cycles);
-
-        let store_cycles = if store_output {
-            let encoded = est_out(morph.compression.ofmap, out_vol, est);
-            let transfer = streams::store_encoded(
-                morph.compression.ofmap,
-                out_vol,
-                encoded,
-                ctx.codec_costs,
-                STORE_LANES,
-            );
-            transfer.count_events(ctx.fabric, &mut events);
-            transfer.cycles(ctx.fabric)
-        } else {
-            0
-        };
-
-        phases.push(TilePhase {
-            load_cycles,
-            compute_cycles,
-            store_cycles,
-        });
-        spm.free(slab_buf);
-        spm.free(acc_buf);
-        spm.free(stage_buf);
     }
 
-    let cycles = pipeline_cycles(&phases, morph.buffering);
-    events.active_cycles = cycles;
-    let energy_pj = ctx.energy.price(&events).total_pj();
-    Ok(LayerPlan {
-        cycles,
-        events,
-        energy_pj,
-        spm_peak: spm.peak(),
-        dram_bytes: events.dram_bytes(),
-        tiles: tile_list.len(),
-    })
+    fn window(&mut self, _: &Layer, _: &Region, raw: usize, codec: Codec) -> usize {
+        codec.estimated_size(raw, self.0.ifmap_sparsity, self.0.ifmap_mean_run)
+    }
+
+    fn kernel_block(
+        &mut self,
+        _: usize,
+        _: (usize, usize),
+        _: (usize, usize),
+        raw: usize,
+        codec: Codec,
+    ) -> usize {
+        codec.estimated_size(raw, self.0.kernel_sparsity, 1.0)
+    }
+
+    fn skip_fraction(&self, _: usize, _: (usize, usize)) -> f64 {
+        self.0.kernel_sparsity
+    }
+
+    fn weighted_tile(&mut self, _: &Layer, out: &Region, store: Option<Codec>) -> usize {
+        self.output(out, store)
+    }
+
+    /// Pooling roughly preserves sparsity statistics, so the output stream
+    /// is priced with the input estimate.
+    fn pool_tile(&mut self, _: &Layer, out: &Region, store: Option<Codec>) -> usize {
+        store.map_or(0, |codec| {
+            codec.estimated_size(out.volume(), self.0.ifmap_sparsity, self.0.ifmap_mean_run)
+        })
+    }
+
+    fn fused_tile(&mut self, _: &[Layer], regions: &[Region], store: Option<Codec>) -> usize {
+        self.output(regions.last().expect("group is never empty"), store)
+    }
 }
 
-/// Plans a pooling layer (mirror of [`crate::exec::execute_pool`]).
-pub fn plan_pool(
-    ctx: &PlanContext<'_>,
-    layer: &Layer,
-    morph: &MorphConfig,
-    est: &SparsityEstimate,
-    store_output: bool,
-) -> Result<LayerPlan, CapacityError> {
-    let LayerKind::Pool { k, .. } = layer.kind else {
-        panic!("{}: not a pool layer", layer.name);
-    };
-    let out_shape = layer.output();
-    let tiling = morph
-        .tiling
-        .clamp(out_shape.c, out_shape.h, out_shape.w, layer.input.c);
-    let tile_list = tiles(layer, tiling, morph.loop_order);
-    let buffer_sets = mocha_fabric::buffer_sets(morph.buffering);
-
-    let mut spm = planning_scratchpad(ctx.fabric, morph);
-    let mut events = EventCounts::default();
-    let mut phases = Vec::with_capacity(tile_list.len());
-
-    for tile in &tile_list {
-        let win = input_window(layer, &tile.out, tile.out.c0, tile.out.cn);
-        let raw = win.volume();
-        let encoded = est_act(morph.compression.ifmap, raw, est);
-
-        let in_buf = spm.alloc(RegionClass::IfmapTile, encoded * buffer_sets)?;
-        let out_vol = tile.out.volume();
-        let out_buf = spm.alloc(RegionClass::OfmapTile, out_vol * buffer_sets)?;
-
-        let load = streams::load_encoded(encoded, LOAD_LANES);
-        load.count_events(ctx.fabric, &mut events);
-        let load_cycles = load.cycles(ctx.fabric);
-
-        let pool_ops = out_vol as u64 * (k * k) as u64;
-        let active = ctx.fabric.pes().min(out_vol.max(1));
-        let mut phase = mocha_fabric::ComputePhase {
-            active_pes: active,
-            max_macs_per_pe: 0,
-            total_macs: 0,
-            skipped_macs: 0,
-            max_skipped_per_pe: 0,
-            pool_ops,
-        };
-        phase.pool_ops += out_vol as u64;
-        phase.count_events(&mut events);
-        let decode_cycles = ctx.codec_costs.decode_cycles(morph.compression.ifmap, raw);
-        events.priced_pj += ctx.codec_costs.energy_pj(morph.compression.ifmap, raw);
-        if morph.compression.ifmap != Codec::None {
-            events.codec_bytes += raw as u64;
-        }
-        events.spm_read_bytes += encoded as u64;
-        events.spm_write_bytes += out_vol as u64;
-        let feed = scratchpad::stream_cycles(ctx.fabric, encoded as u64, ctx.fabric.spm_banks);
-        let compute_cycles = phase.cycles(ctx.fabric).max(feed).max(decode_cycles);
-
-        let store_cycles = if store_output {
-            // Pooling preserves sparsity statistics roughly; reuse the input
-            // estimate for the output stream.
-            let enc_out = est_act(morph.compression.ofmap, out_vol, est);
-            let t = streams::store_encoded(
-                morph.compression.ofmap,
-                out_vol,
-                enc_out,
-                ctx.codec_costs,
-                STORE_LANES,
-            );
-            t.count_events(ctx.fabric, &mut events);
-            t.cycles(ctx.fabric)
-        } else {
-            0
-        };
-
-        phases.push(TilePhase {
-            load_cycles,
-            compute_cycles,
-            store_cycles,
-        });
-        spm.free(in_buf);
-        spm.free(out_buf);
+impl Estimated<'_> {
+    /// Estimated encoded size of an output tile's store.
+    fn output(&self, out: &Region, store: Option<Codec>) -> usize {
+        store.map_or(0, |codec| {
+            codec.estimated_size(out.volume(), self.0.ofmap_sparsity, self.0.ofmap_mean_run)
+        })
     }
+}
 
-    let cycles = pipeline_cycles(&phases, morph.buffering);
-    events.active_cycles = cycles;
-    let energy_pj = ctx.energy.price(&events).total_pj();
-    Ok(LayerPlan {
-        cycles,
-        events,
-        energy_pj,
-        spm_peak: spm.peak(),
-        dram_bytes: events.dram_bytes(),
-        tiles: tile_list.len(),
-    })
+impl PlanContext<'_> {
+    fn walk(&self) -> ExecContext<'_> {
+        ExecContext {
+            fabric: self.fabric,
+            codec_costs: self.codec_costs,
+        }
+    }
 }
 
 /// Plans any layer kind.
@@ -441,10 +182,26 @@ pub fn plan_layer(
     est: &SparsityEstimate,
     store_output: bool,
 ) -> Result<LayerPlan, CapacityError> {
-    match layer.kind {
-        LayerKind::Pool { .. } => plan_pool(ctx, layer, morph, est, store_output),
-        _ => plan_weighted(ctx, layer, morph, est, store_output),
-    }
+    walk_layer(&ctx.walk(), layer, morph, store_output, &mut Estimated(est))
+        .map(|walk| LayerPlan::priced(walk, ctx.energy))
+}
+
+/// Plans a fused group of consecutive `layers` (see [`crate::fusion`]).
+pub fn plan_group(
+    ctx: &PlanContext<'_>,
+    layers: &[Layer],
+    morph: &MorphConfig,
+    est: &SparsityEstimate,
+    store_output: bool,
+) -> Result<LayerPlan, CapacityError> {
+    walk_group(
+        &ctx.walk(),
+        layers,
+        morph,
+        store_output,
+        &mut Estimated(est),
+    )
+    .map(|walk| LayerPlan::priced(walk, ctx.energy))
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@
 
 use crate::cache::DecisionShard;
 use crate::controller::decide_cached;
-use crate::exec::{execute_layer, ExecContext};
-use crate::fusion::{execute_group, FusionGroup};
+use crate::exec::{execute_layer, ExecContext, LayerRun};
+use crate::fusion::execute_group;
 use crate::metrics::{GroupMetrics, RunMetrics};
 use crate::plan::{PlanContext, SparsityEstimate};
 use mocha_compress::CodecCostTable;
@@ -78,9 +78,7 @@ impl Simulator {
         }
     }
 
-    /// Executes one controller decision at network position `start`,
-    /// returning `(output, cycles, events, spm_peak, compression)`.
-    #[allow(clippy::type_complexity)]
+    /// Executes one controller decision at network position `start`.
     fn execute_decision(
         &self,
         fabric: &mocha_fabric::FabricConfig,
@@ -88,65 +86,29 @@ impl Simulator {
         start: usize,
         input: &mocha_model::Tensor<i8>,
         decision: &crate::controller::Decision,
-    ) -> Result<
-        (
-            mocha_model::Tensor<i8>,
-            u64,
-            mocha_energy::EventCounts,
-            usize,
-            mocha_compress::CompressionStats,
-            Vec<mocha_fabric::TilePhase>,
-        ),
-        mocha_fabric::CapacityError,
-    > {
-        let ectx = ExecContext {
-            fabric,
-            codec_costs: &self.codec_costs,
-        };
-        let layers = workload.network.layers();
-        let len = decision.group_len;
-        if len == 1 {
-            let run = execute_layer(
-                &ectx,
-                &layers[start],
-                input,
-                workload.kernels[start].as_ref(),
-                &decision.morph,
-                true,
-            )?;
-            Ok((
-                run.output,
-                run.cycles,
-                run.events,
-                run.spm_peak,
-                run.compression,
-                run.phases,
-            ))
-        } else {
-            let group = FusionGroup {
-                start,
-                layers: layers[start..start + len].to_vec(),
+    ) -> Result<LayerRun, mocha_fabric::CapacityError> {
+        let end = start + decision.group_len;
+        let layers = &workload.network.layers()[start..end];
+        let kernels: Vec<Option<&Kernel>> = workload.kernels[start..end]
+            .iter()
+            .map(Option::as_ref)
+            .collect();
+        if layers.len() == 1 {
+            let ectx = ExecContext {
+                fabric,
+                codec_costs: &self.codec_costs,
             };
-            let kernels: Vec<Option<&Kernel>> = (start..start + len)
-                .map(|j| workload.kernels[j].as_ref())
-                .collect();
-            let run = execute_group(
+            execute_layer(&ectx, &layers[0], input, kernels[0], &decision.morph, true)
+        } else {
+            execute_group(
                 fabric,
                 &self.codec_costs,
-                &group,
+                layers,
                 input,
                 &kernels,
                 &decision.morph,
                 true,
-            )?;
-            Ok((
-                run.output,
-                run.cycles,
-                run.events,
-                run.spm_peak,
-                run.compression,
-                run.phases,
-            ))
+            )
         }
     }
 
@@ -343,13 +305,13 @@ impl Session {
             attempt = sim.execute_decision(fabric, &self.workload, i, &self.current, &decision);
             rec.add(mocha_obs::names::CORE_COMPRESSION_FALLBACKS, 1);
         }
-        let (output, cycles, events, spm_peak, compression, phases) =
+        let run =
             attempt.unwrap_or_else(|e| panic!("{}: chosen config infeasible: {e}", layers[i].name));
         let len = decision.group_len;
 
         if sim.verify {
             assert_eq!(
-                output,
+                run.output,
                 self.golden_outs[i + len - 1],
                 "{}: simulated output deviates from golden model",
                 layers[i + len - 1].name
@@ -363,17 +325,17 @@ impl Session {
         self.groups.push(GroupMetrics {
             layers: layers[i..i + len].iter().map(|l| l.name.clone()).collect(),
             morph: decision.morph,
-            cycles,
-            events,
-            energy: sim.energy.price(&events),
-            spm_peak,
-            compression,
+            cycles: run.cycles,
+            events: run.events,
+            energy: sim.energy.price(&run.events),
+            spm_peak: run.spm_peak,
+            compression: run.compression,
             work_macs,
             candidates: decision.candidates,
-            phases,
+            phases: run.phases,
         });
 
-        self.current = output;
+        self.current = run.output;
         self.pos += len;
         let g = self.groups.last().unwrap();
         record_group(rec, "", self.clock, g);

@@ -242,7 +242,7 @@ fn work_is_conserved() {
 /// Fused conv→pool groups are bit-exact for arbitrary tile shapes.
 #[test]
 fn fusion_is_bit_exact() {
-    use mocha_core::fusion::{execute_group, FusionGroup};
+    use mocha_core::fusion::execute_group;
     use mocha_model::network::NetworkBuilder;
 
     cases(32, |seed, rng| {
@@ -260,10 +260,6 @@ fn fusion_is_bit_exact() {
         );
         let golden_outs = golden::forward(&w);
 
-        let group = FusionGroup {
-            start: 0,
-            layers: w.network.layers().to_vec(),
-        };
         let kernels: Vec<Option<&mocha_model::Kernel>> =
             w.kernels.iter().map(Option::as_ref).collect();
         let morph = MorphConfig {
@@ -275,7 +271,15 @@ fn fusion_is_bit_exact() {
         };
         let fabric = FabricConfig::mocha();
         let costs = CodecCostTable::default();
-        if let Ok(run) = execute_group(&fabric, &costs, &group, &w.input, &kernels, &morph, true) {
+        if let Ok(run) = execute_group(
+            &fabric,
+            &costs,
+            w.network.layers(),
+            &w.input,
+            &kernels,
+            &morph,
+            true,
+        ) {
             assert_eq!(run.output, golden_outs[1], "seed {seed}: tiling {t}");
         }
     });

@@ -22,8 +22,8 @@ use std::fmt::Write as _;
 use mocha_compress::CodecCostTable;
 use mocha_core::controller::{candidate_configs, Policy};
 use mocha_core::exec::{execute_layer, ExecContext};
-use mocha_core::fusion::{can_extend, execute_group, plan_group, FusionGroup, MAX_GROUP_DEPTH};
-use mocha_core::plan::{plan_layer, LayerPlan, PlanContext, SparsityEstimate};
+use mocha_core::fusion::{can_extend, execute_group, MAX_GROUP_DEPTH};
+use mocha_core::plan::{plan_group, plan_layer, LayerPlan, PlanContext, SparsityEstimate};
 use mocha_core::{LayerRun, MorphConfig, Objective};
 use mocha_energy::EnergyTable;
 use mocha_fabric::{CapacityError, FabricConfig};
@@ -102,12 +102,7 @@ fn plan_candidate(
     if layers.len() == 1 {
         plan_layer(ctx, &layers[0], morph, &EST, true)
     } else {
-        let group = FusionGroup {
-            start: 0,
-            layers: layers.to_vec(),
-        };
-        let shapes: Vec<_> = layers.iter().map(Layer::kernel_shape).collect();
-        plan_group(ctx, &group, &shapes, morph, &EST, true)
+        plan_group(ctx, layers, morph, &EST, true)
     }
 }
 
@@ -121,28 +116,15 @@ fn exec_candidate(
     if layers.len() == 1 {
         execute_layer(ctx, &layers[0], input, kernels[0], morph, true)
     } else {
-        let group = FusionGroup {
-            start: 0,
-            layers: layers.to_vec(),
-        };
         execute_group(
             ctx.fabric,
             ctx.codec_costs,
-            &group,
+            layers,
             input,
             kernels,
             morph,
             true,
         )
-        .map(|g| LayerRun {
-            output: g.output,
-            cycles: g.cycles,
-            events: g.events,
-            spm_peak: g.spm_peak,
-            compression: g.compression,
-            tiles: g.tiles,
-            phases: g.phases,
-        })
     }
 }
 
