@@ -239,7 +239,7 @@ pub(crate) fn walk_weighted<S: StreamSource>(
     let mut events = EventCounts::default();
     let mut phases: Vec<TilePhase> = Vec::with_capacity(tile_list.len() + 8);
     // Pinned-operand state: (block key, scratchpad region, encoded bytes).
-    let mut pinned: Option<(usize, mocha_fabric::RegionId, usize)> = None;
+    let mut pinned: Option<((usize, usize), mocha_fabric::RegionId, usize)> = None;
 
     for tile in &tile_list {
         let out_vol = tile.out.volume();
@@ -256,9 +256,14 @@ pub(crate) fn walk_weighted<S: StreamSource>(
         };
 
         // ---- pinned operand (re)load on block change -------------------
-        let pin_key = match morph.loop_order {
-            LoopOrder::WeightStationary => tile.oc_block,
-            LoopOrder::InputStationary => tile.spatial_block,
+        // A depthwise tile's input channels are its output channels, so its
+        // pinned input window changes with the output-channel block too.
+        let pin_key = match (morph.loop_order, layer.kind) {
+            (LoopOrder::WeightStationary, _) => (tile.oc_block, 0),
+            (LoopOrder::InputStationary, LayerKind::DwConv { .. }) => {
+                (tile.spatial_block, tile.oc_block)
+            }
+            (LoopOrder::InputStationary, _) => (tile.spatial_block, 0),
         };
         let pinned_encoded = match &pinned {
             Some((key, _, bytes)) if *key == pin_key => *bytes,
