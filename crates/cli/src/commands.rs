@@ -279,12 +279,17 @@ pub(crate) fn load_energy(args: &Args) -> EnergyTable {
                 eprintln!("cannot read energy table {path:?}: {e}");
                 std::process::exit(2);
             });
-            mocha_json::parse(&text)
+            let energy: EnergyTable = mocha_json::parse(&text)
                 .and_then(|v| mocha_json::FromJson::from_json(&v))
                 .unwrap_or_else(|e| {
                     eprintln!("invalid energy table {path:?}: {e}");
                     std::process::exit(2);
-                })
+                });
+            if let Err(e) = energy.validate() {
+                eprintln!("inconsistent energy table {path:?}: {e}");
+                std::process::exit(2);
+            }
+            energy
         }
     }
 }

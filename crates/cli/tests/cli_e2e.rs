@@ -2197,3 +2197,83 @@ fn fleet_open_loop_obs_keeps_the_server_span_cap() {
         .count();
     assert_eq!(spans, SERVE_SPAN_CAP);
 }
+
+/// Writes `config` with `key` set to `value` to a temp file and runs
+/// `simulate tiny` with it passed as `flag`.
+fn simulate_with_field(flag: &str, config: &mocha_json::Value, key: &str, value: f64) -> Output {
+    let mocha_json::Value::Obj(fields) = config else {
+        panic!("config is a JSON object");
+    };
+    let mut fields = fields.clone();
+    fields.insert(key.to_string(), mocha_json::Value::Num(value));
+    let path = std::env::temp_dir().join(format!("mocha_{flag}_{key}_{value:e}_e2e.json"));
+    std::fs::write(&path, mocha_json::Value::Obj(fields).to_string_compact()).expect("write");
+    let out = mocha_sim(&[
+        "simulate",
+        "tiny",
+        &format!("--{flag}"),
+        path.to_str().unwrap(),
+        "--no-verify",
+        "--threads",
+        "1",
+    ]);
+    let _ = std::fs::remove_file(&path);
+    out
+}
+
+/// The `--fabric` front door: every numeric field set to 0 and then to a
+/// huge value either simulates (exit 0) or is refused with one stderr line
+/// (exit 2), never a panic. Values that would divide by zero or overflow
+/// the cycle arithmetic are refused, naming the field or its bound.
+#[test]
+fn fabric_config_edge_values_exit_zero_or_two() {
+    let base = mocha::fabric::FabricConfig::mocha().to_json();
+    let mocha_json::Value::Obj(fields) = &base else {
+        panic!("fabric config is a JSON object");
+    };
+    for (key, default) in fields {
+        if !matches!(default, mocha_json::Value::Num(_)) {
+            continue;
+        }
+        for value in [0.0, 1e300] {
+            let out = simulate_with_field("fabric", &base, key, value);
+            let err = stderr(&out);
+            match out.status.code() {
+                Some(0) => assert!(err.is_empty(), "{key}={value}: stderr: {err}"),
+                Some(2) => {
+                    assert_eq!(err.lines().count(), 1, "{key}={value}: stderr: {err}");
+                    assert!(!err.contains("panicked"), "{key}={value}: stderr: {err}");
+                }
+                code => panic!("{key}={value}: exit {code:?}, stderr: {err}"),
+            }
+        }
+    }
+    for (key, value, needle) in [
+        ("macs_per_pe_per_cycle", 0.0, "macs_per_pe_per_cycle"),
+        ("spm_bank_bytes_per_cycle", 0.0, "spm_bank_bytes_per_cycle"),
+        ("dram_burst_bytes", 0.0, "dram_burst_bytes"),
+        ("dram_bytes_per_cycle", 1e-300, "0.001"),
+        ("dram_bytes_per_cycle", 1e300, "dram_bytes_per_cycle"),
+        ("dram_latency_cycles", 1.8e19, "1048576 cycles"),
+    ] {
+        let out = simulate_with_field("fabric", &base, key, value);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{key}={value}: stderr: {err}");
+        assert!(err.contains(needle), "{key}={value}: stderr: {err}");
+    }
+}
+
+/// The `--energy` front door: a zero or negative clock, or a negative
+/// energy, is refused with one stderr line and exit 2 instead of printing
+/// `null` EDP or negative GOPS.
+#[test]
+fn energy_table_edge_values_exit_two() {
+    let base = mocha::energy::EnergyTable::default().to_json();
+    for (key, value) in [("clock_ghz", 0.0), ("clock_ghz", -1.0), ("mac_pj", -0.5)] {
+        let out = simulate_with_field("energy", &base, key, value);
+        let err = stderr(&out);
+        assert_eq!(out.status.code(), Some(2), "{key}={value}: stderr: {err}");
+        assert_eq!(err.lines().count(), 1, "{key}={value}: stderr: {err}");
+        assert!(err.contains(key), "{key}={value}: stderr: {err}");
+    }
+}

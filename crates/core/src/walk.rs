@@ -244,8 +244,8 @@ pub(crate) fn walk_weighted<S: StreamSource>(
     for tile in &tile_list {
         let out_vol = tile.out.volume();
         let oc = (tile.out.c0, tile.out.cn);
-        // The pinned operand's raw bytes; the whole-depth input window
-        // under input-stationary order.
+        // The pinned operand: the tile's kernel block under weight-stationary
+        // order, its whole-depth input window under input-stationary order.
         let pinned_window = match morph.loop_order {
             LoopOrder::WeightStationary => None,
             LoopOrder::InputStationary => Some(input_window(layer, &tile.out, 0, depth)),

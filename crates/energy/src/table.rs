@@ -133,6 +133,35 @@ impl EnergyBreakdown {
 }
 
 impl EnergyTable {
+    /// Checks that every energy is finite and non-negative and the clock
+    /// is positive, returning a description of the first problem found.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, value) in [
+            ("mac_pj", self.mac_pj),
+            ("mac_skip_pj", self.mac_skip_pj),
+            ("pool_op_pj", self.pool_op_pj),
+            ("rf_read_pj", self.rf_read_pj),
+            ("rf_write_pj", self.rf_write_pj),
+            ("spm_read_pj_per_byte", self.spm_read_pj_per_byte),
+            ("spm_write_pj_per_byte", self.spm_write_pj_per_byte),
+            ("noc_hop_pj_per_flit", self.noc_hop_pj_per_flit),
+            ("dram_pj_per_byte", self.dram_pj_per_byte),
+            ("dram_burst_pj", self.dram_burst_pj),
+            ("clock_ghz", self.clock_ghz),
+            ("leakage_mw", self.leakage_mw),
+        ] {
+            if !value.is_finite() || value < 0.0 {
+                return Err(format!(
+                    "{name} must be finite and non-negative, got {value}"
+                ));
+            }
+        }
+        if self.clock_ghz == 0.0 {
+            return Err("clock_ghz must be positive".into());
+        }
+        Ok(())
+    }
+
     /// Prices a run's event counts into a component breakdown.
     pub fn price(&self, e: &EventCounts) -> EnergyBreakdown {
         let seconds = e.active_cycles as f64 / (self.clock_ghz * 1e9);
@@ -162,6 +191,45 @@ impl EnergyTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn validation_rejects_negative_non_finite_and_zero_clock() {
+        EnergyTable::default().validate().unwrap();
+        let d = EnergyTable::default();
+        for (t, needle) in [
+            (
+                EnergyTable {
+                    clock_ghz: 0.0,
+                    ..d
+                },
+                "clock_ghz must be positive",
+            ),
+            (
+                EnergyTable {
+                    clock_ghz: -1.0,
+                    ..d
+                },
+                "clock_ghz",
+            ),
+            (
+                EnergyTable {
+                    dram_pj_per_byte: f64::INFINITY,
+                    ..d
+                },
+                "dram_pj_per_byte",
+            ),
+            (
+                EnergyTable {
+                    leakage_mw: f64::NAN,
+                    ..d
+                },
+                "leakage_mw",
+            ),
+        ] {
+            let err = t.validate().unwrap_err();
+            assert!(err.contains(needle), "{err:?} lacks {needle:?}");
+        }
+    }
 
     #[test]
     fn defaults_respect_the_energy_hierarchy() {

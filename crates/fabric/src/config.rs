@@ -172,8 +172,15 @@ impl FabricConfig {
         }
     }
 
-    /// Validates internal consistency, returning a description of the first
-    /// problem found.
+    /// Validates internal consistency and range, returning a description
+    /// of the first problem found.
+    ///
+    /// Every rate and count is positive (except the optional register
+    /// files, codec engines and latencies) and at most [`MAX_FIELD`]; DRAM
+    /// bandwidth is at least [`MIN_DRAM_BYTES_PER_CYCLE`] and latencies are
+    /// at most [`MAX_LATENCY_CYCLES`]. Within those bounds no product of
+    /// two fields overflows, and a zoo network's cycle total stays far
+    /// below `u64::MAX`.
     pub fn validate(&self) -> Result<(), String> {
         if self.pe_rows == 0 || self.pe_cols == 0 {
             return Err("PE grid must be non-empty".into());
@@ -181,18 +188,70 @@ impl FabricConfig {
         if self.spm_banks == 0 || self.spm_bank_kb == 0 {
             return Err("scratchpad must have capacity".into());
         }
-        if self.dram_bytes_per_cycle <= 0.0 {
-            return Err("DRAM bandwidth must be positive".into());
-        }
         if self.dma_engines == 0 {
             return Err("need at least one DMA engine".into());
         }
         if self.noc_dma_lanes == 0 || self.noc_link_bytes_per_cycle == 0 {
             return Err("NoC must have bandwidth".into());
         }
+        for (name, value) in [
+            ("macs_per_pe_per_cycle", self.macs_per_pe_per_cycle),
+            ("spm_bank_bytes_per_cycle", self.spm_bank_bytes_per_cycle),
+            ("dram_burst_bytes", self.dram_burst_bytes),
+        ] {
+            if value == 0 {
+                return Err(format!("{name} must be positive"));
+            }
+        }
+        for (name, value) in [
+            ("pe_rows", self.pe_rows),
+            ("pe_cols", self.pe_cols),
+            ("rf_bytes_per_pe", self.rf_bytes_per_pe),
+            ("macs_per_pe_per_cycle", self.macs_per_pe_per_cycle),
+            ("spm_banks", self.spm_banks),
+            ("spm_bank_kb", self.spm_bank_kb),
+            ("spm_bank_bytes_per_cycle", self.spm_bank_bytes_per_cycle),
+            ("noc_link_bytes_per_cycle", self.noc_link_bytes_per_cycle),
+            ("noc_dma_lanes", self.noc_dma_lanes),
+            ("dram_burst_bytes", self.dram_burst_bytes),
+            ("dma_engines", self.dma_engines),
+            ("codec_engines", self.codec_engines),
+        ] {
+            if value > MAX_FIELD {
+                return Err(format!("{name} must be at most {MAX_FIELD}, got {value}"));
+            }
+        }
+        if !(MIN_DRAM_BYTES_PER_CYCLE..=MAX_FIELD as f64).contains(&self.dram_bytes_per_cycle) {
+            return Err(format!(
+                "dram_bytes_per_cycle must be between {MIN_DRAM_BYTES_PER_CYCLE} and {MAX_FIELD}, got {}",
+                self.dram_bytes_per_cycle
+            ));
+        }
+        for (name, value) in [
+            ("noc_hop_latency", self.noc_hop_latency),
+            ("dram_latency_cycles", self.dram_latency_cycles),
+        ] {
+            if value > MAX_LATENCY_CYCLES {
+                return Err(format!(
+                    "{name} must be at most {MAX_LATENCY_CYCLES} cycles, got {value}"
+                ));
+            }
+        }
         Ok(())
     }
 }
+
+/// Largest value [`FabricConfig::validate`] accepts for a structural count
+/// or per-cycle rate (2^20).
+pub const MAX_FIELD: usize = 1 << 20;
+
+/// Smallest DRAM bandwidth [`FabricConfig::validate`] accepts, bytes per
+/// cycle: one byte per thousand cycles.
+pub const MIN_DRAM_BYTES_PER_CYCLE: f64 = 1e-3;
+
+/// Largest NoC hop or DRAM access latency [`FabricConfig::validate`]
+/// accepts, cycles (2^20).
+pub const MAX_LATENCY_CYCLES: u64 = 1 << 20;
 
 #[cfg(test)]
 mod tests {
@@ -251,5 +310,73 @@ mod tests {
             ..FabricConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn validation_rejects_zero_divisors_and_out_of_range_rates() {
+        let d = FabricConfig::default();
+        for (c, needle) in [
+            (
+                FabricConfig {
+                    macs_per_pe_per_cycle: 0,
+                    ..d
+                },
+                "macs_per_pe_per_cycle",
+            ),
+            (
+                FabricConfig {
+                    spm_bank_bytes_per_cycle: 0,
+                    ..d
+                },
+                "spm_bank_bytes_per_cycle",
+            ),
+            (
+                FabricConfig {
+                    dram_burst_bytes: 0,
+                    ..d
+                },
+                "dram_burst_bytes",
+            ),
+            (
+                FabricConfig {
+                    dram_bytes_per_cycle: 1e-300,
+                    ..d
+                },
+                "0.001",
+            ),
+            (
+                FabricConfig {
+                    dram_bytes_per_cycle: f64::INFINITY,
+                    ..d
+                },
+                "dram_bytes_per_cycle",
+            ),
+            (
+                FabricConfig {
+                    dram_bytes_per_cycle: f64::NAN,
+                    ..d
+                },
+                "dram_bytes_per_cycle",
+            ),
+            (
+                FabricConfig {
+                    dram_latency_cycles: u64::MAX - 7,
+                    ..d
+                },
+                "1048576 cycles",
+            ),
+            (
+                FabricConfig {
+                    pe_rows: usize::MAX,
+                    ..d
+                },
+                "pe_rows must be at most 1048576",
+            ),
+        ] {
+            let err = c.validate().unwrap_err();
+            assert!(err.contains(needle), "{err:?} lacks {needle:?}");
+        }
+        FabricConfig::mocha_quad().validate().unwrap();
+        FabricConfig::baseline().validate().unwrap();
     }
 }
