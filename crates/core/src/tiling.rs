@@ -1,8 +1,8 @@
 //! Tile geometry: how a layer's output space is partitioned and which input
 //! windows each tile needs.
 //!
-//! Everything downstream (the analytical planner, the functional executor
-//! and the fusion engine) consumes this geometry, so its invariants are
+//! Everything downstream (the tile walks that both planning and execution
+//! run, and the fusion engine) consumes this geometry, so its invariants are
 //! enforced here and property-tested: **tiles partition the output space
 //! exactly** — every output element belongs to exactly one tile.
 
