@@ -221,6 +221,22 @@ sim_zoo target/release/mocha-sim | cmp - baselines/sim-zoo.txt || {
     echo "simulate output differs from baselines/sim-zoo.txt"; exit 1
 }
 
+echo "== simulate pin for the benchmark network (vs committed baselines/sim-alexnet.txt)"
+# The benchmark's AlexNet under both MOCHA policies and two sparsity
+# profiles must stay byte-identical to the baseline. Regenerate with (from
+# the repo root, after the release build):
+#   sim_alexnet target/release/mocha-sim > baselines/sim-alexnet.txt
+sim_alexnet() {
+    for acc in mocha mocha-nc; do
+        for prof in dense sparse; do
+            "$1" simulate alexnet --accelerator "$acc" --profile "$prof" --json --threads 1
+        done
+    done
+}
+sim_alexnet target/release/mocha-sim | cmp - baselines/sim-alexnet.txt || {
+    echo "simulate output differs from baselines/sim-alexnet.txt"; exit 1
+}
+
 echo "== one open-loop front end (serve --open-loop --fleet == fleet --open-loop)"
 # Both entry points run the same open-loop path in fleet mode, so the
 # matrix's fleet open-loop row must replay byte-for-byte through `serve`.
