@@ -5,12 +5,14 @@
 //! Execution is the [`crate::walk`] traversal run with [`Measured`] streams:
 //! every tile's streams are priced by the codecs' *exact* size passes over
 //! the live tensors (planning runs the same walk on estimates, see
-//! [`crate::plan`]), each tile is computed functionally and written to the
-//! output. Debug builds additionally encode every stream, decode it back,
-//! and assert it equal to the source bytes, so `cargo test` remains the
-//! proof that morphing never changes results; release builds skip the
-//! materialization and keep the hot loop allocation-free.
+//! [`crate::plan`]), each tile is computed functionally by the one tile
+//! kernel, [`crate::fusion::compute_region`], and written to the output.
+//! Debug builds additionally encode every stream, decode it back, and
+//! assert it equal to the source bytes, so `cargo test` remains the proof
+//! that morphing never changes results; release builds skip the
+//! materialization.
 
+use crate::fusion::{compute_region, Input};
 use crate::morph::{LoopOrder, MorphConfig};
 use crate::tiling::{reduction_depth, Region};
 use crate::walk::{walk_layer, StreamSource, WalkTotals};
@@ -18,7 +20,7 @@ use mocha_compress::{Codec, CodecCostTable, CompressionStats};
 use mocha_energy::EventCounts;
 use mocha_fabric::{Buffering, CapacityError, FabricConfig, Scratchpad, TilePhase};
 use mocha_model::layer::{Layer, LayerKind};
-use mocha_model::tensor::{requantize, Kernel, Tensor};
+use mocha_model::tensor::{Kernel, Tensor};
 use mocha_model::TensorShape;
 
 /// Shared simulation context: the fabric instance and codec cost table.
@@ -160,6 +162,13 @@ impl<'a> Measured<'a> {
         encoded
     }
 
+    /// Computes a singleton layer's tile with the one tile kernel,
+    /// [`compute_region`], writes it and sizes its store.
+    fn layer_tile(&mut self, layer: &Layer, out: &Region, store: Option<Codec>) -> usize {
+        let buf = compute_region(layer, Input::full(self.input), self.kernels[0], *out);
+        self.emit(out, buf.data(), store)
+    }
+
     /// Writes a finished tile to the output and sizes its store.
     fn emit(&mut self, out: &Region, data: &[i8], store: Option<Codec>) -> usize {
         write_tile(&mut self.output, out, data);
@@ -172,6 +181,9 @@ impl<'a> Measured<'a> {
 }
 
 impl StreamSource for Measured<'_> {
+    /// Sizes are exact encodings of live bytes.
+    const SIZED_BY_LENGTH: bool = false;
+
     fn scratchpad(&self, fabric: &FabricConfig, _: &MorphConfig) -> Scratchpad {
         Scratchpad::new(fabric)
     }
@@ -218,30 +230,11 @@ impl StreamSource for Measured<'_> {
     }
 
     fn weighted_tile(&mut self, layer: &Layer, out: &Region, store: Option<Codec>) -> usize {
-        let data = compute_tile(layer, self.input, self.kernel(0), out);
-        self.emit(out, &data, store)
+        self.layer_tile(layer, out, store)
     }
 
     fn pool_tile(&mut self, layer: &Layer, out: &Region, store: Option<Codec>) -> usize {
-        let LayerKind::Pool { kind, k, stride } = layer.kind else {
-            panic!("{}: not a pool layer", layer.name);
-        };
-        let mut data = vec![0i8; out.volume()];
-        for (ci, c) in (out.c0..out.c0 + out.cn).enumerate() {
-            for (yi, oy) in (out.y0..out.y0 + out.yn).enumerate() {
-                for (xi, ox) in (out.x0..out.x0 + out.xn).enumerate() {
-                    data[(ci * out.yn + yi) * out.xn + xi] = mocha_model::golden::pool_window(
-                        self.input,
-                        kind,
-                        c,
-                        oy * stride,
-                        ox * stride,
-                        k,
-                    );
-                }
-            }
-        }
-        self.emit(out, &data, store)
+        self.layer_tile(layer, out, store)
     }
 
     fn fused_tile(&mut self, layers: &[Layer], regions: &[Region], store: Option<Codec>) -> usize {
@@ -266,108 +259,13 @@ pub fn execute_layer(
     walk_layer(ctx, layer, morph, store_output, &mut src).map(|walk| src.into_run(walk))
 }
 
-/// Computes one output tile functionally (bit-exact), reading the input via
-/// absolute coordinates so padding behaves identically to the golden model.
-/// Returns the tile's output bytes in region-local CHW order.
-fn compute_tile(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel, r: &Region) -> Vec<i8> {
-    let (shift, relu) = (layer.requant_shift, layer.has_relu());
-    let mut out = vec![0i8; r.volume()];
-    match layer.kind {
-        LayerKind::Conv { k, stride, pad, .. } => {
-            let in_shape = layer.input;
-            for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
-                for (yi, oy) in (r.y0..r.y0 + r.yn).enumerate() {
-                    for (xi, ox) in (r.x0..r.x0 + r.xn).enumerate() {
-                        let mut acc: i32 = 0;
-                        for ic in 0..in_shape.c {
-                            for ky in 0..k {
-                                let iy = (oy * stride + ky) as isize - pad as isize;
-                                if iy < 0 || iy as usize >= in_shape.h {
-                                    continue;
-                                }
-                                for kx in 0..k {
-                                    let ix = (ox * stride + kx) as isize - pad as isize;
-                                    if ix < 0 || ix as usize >= in_shape.w {
-                                        continue;
-                                    }
-                                    acc += input.get(ic, iy as usize, ix as usize) as i32
-                                        * kernel.get(c, ic, ky, kx) as i32;
-                                }
-                            }
-                        }
-                        out[(ci * r.yn + yi) * r.xn + xi] = requantize(acc, shift, relu);
-                    }
-                }
-            }
-        }
-        LayerKind::Pointwise { .. } => {
-            // Pointwise ≡ conv with k = 1, stride = 1, pad = 0: one full
-            // input-channel reduction per output pixel, no spatial taps.
-            let in_shape = layer.input;
-            for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
-                for (yi, oy) in (r.y0..r.y0 + r.yn).enumerate() {
-                    for (xi, ox) in (r.x0..r.x0 + r.xn).enumerate() {
-                        let mut acc: i32 = 0;
-                        for ic in 0..in_shape.c {
-                            acc += input.get(ic, oy, ox) as i32 * kernel.get(c, ic, 0, 0) as i32;
-                        }
-                        out[(ci * r.yn + yi) * r.xn + xi] = requantize(acc, shift, relu);
-                    }
-                }
-            }
-        }
-        LayerKind::Fc { .. } => {
-            let flat = input.data();
-            for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
-                let w = kernel.filter(c);
-                let acc: i32 = flat.iter().zip(w).map(|(&a, &b)| a as i32 * b as i32).sum();
-                out[ci] = requantize(acc, shift, relu);
-            }
-        }
-        LayerKind::DwConv { k, stride, pad, .. } => {
-            let in_shape = layer.input;
-            for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
-                for (yi, oy) in (r.y0..r.y0 + r.yn).enumerate() {
-                    for (xi, ox) in (r.x0..r.x0 + r.xn).enumerate() {
-                        let mut acc: i32 = 0;
-                        for ky in 0..k {
-                            let iy = (oy * stride + ky) as isize - pad as isize;
-                            if iy < 0 || iy as usize >= in_shape.h {
-                                continue;
-                            }
-                            for kx in 0..k {
-                                let ix = (ox * stride + kx) as isize - pad as isize;
-                                if ix < 0 || ix as usize >= in_shape.w {
-                                    continue;
-                                }
-                                acc += input.get(c, iy as usize, ix as usize) as i32
-                                    * kernel.get(c, 0, ky, kx) as i32;
-                            }
-                        }
-                        out[(ci * r.yn + yi) * r.xn + xi] = requantize(acc, shift, relu);
-                    }
-                }
-            }
-        }
-        LayerKind::Pool { .. } => panic!("{}: pool tile on weighted path", layer.name),
-    }
-    out
-}
-
 /// Writes a region-local tile buffer back into the full output tensor.
 fn write_tile(output: &mut Tensor<i8>, r: &Region, data: &[i8]) {
     debug_assert_eq!(data.len(), r.volume());
-    for ci in 0..r.cn {
-        for yi in 0..r.yn {
-            for xi in 0..r.xn {
-                output.set(
-                    r.c0 + ci,
-                    r.y0 + yi,
-                    r.x0 + xi,
-                    data[(ci * r.yn + yi) * r.xn + xi],
-                );
-            }
-        }
+    let shape = output.shape();
+    for (i, row) in data.chunks_exact(r.xn).enumerate() {
+        let dst = shape.index(r.c0 + i / r.yn, r.y0 + i % r.yn, r.x0);
+        output.data_mut()[dst..dst + r.xn].copy_from_slice(row);
     }
 }
 

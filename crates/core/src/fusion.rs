@@ -7,7 +7,8 @@
 //! ([`crate::walk`]) tiles the *final* layer's output; each tile's required
 //! region is back-propagated through the group ([`back_regions`]), the group
 //! input window is fetched once, and every member layer computes its region
-//! on-chip ([`cascade`]). Overlapping halos between adjacent tiles are
+//! on-chip ([`cascade`]) with [`compute_region`], the simulator's one tile
+//! kernel, which also computes every singleton layer's tiles. Overlapping halos between adjacent tiles are
 //! **recomputed** — the classic fused-layer trade: DRAM traffic down, MACs
 //! up, on-chip buffering up. Whether that trade wins is exactly what the
 //! morphing controller evaluates per layer (experiment F7).
@@ -18,13 +19,14 @@
 
 use crate::exec::{ExecContext, LayerRun, Measured};
 use crate::morph::MorphConfig;
-use crate::tiling::{input_window, Region};
+use crate::tiling::{input_extent, input_window, Region};
 use crate::walk::walk_group;
 use mocha_compress::CodecCostTable;
 use mocha_fabric::{CapacityError, FabricConfig};
-use mocha_model::layer::{Layer, LayerKind};
+use mocha_model::layer::{Layer, LayerKind, PoolKind};
 use mocha_model::tensor::{requantize, Kernel, Tensor};
 use mocha_model::TensorShape;
+use std::ops::Range;
 
 /// Maximum number of layers a group may contain. Deeper cascades explode
 /// halo recomputation and buffering without additional DRAM savings on the
@@ -60,12 +62,14 @@ pub fn can_extend(group_len: usize, last: &Layer, next: &Layer) -> bool {
 }
 
 /// Back-propagates an output region of the group's final layer through every
-/// member. Returns `regions[i]` = the region of layer `i`'s *output* needed,
-/// for `i` in `0..layers.len()`, plus the group-input window as element 0 of
-/// the second return (the region of the group's input tensor).
-pub fn back_regions(layers: &[Layer], final_region: Region) -> (Vec<Region>, Region) {
+/// member. Fills `regions` (cleared first) so that `regions[i]` is the
+/// region of layer `i`'s *output* needed, for `i` in `0..layers.len()`, and
+/// returns the group-input window (the region of the group's input tensor).
+/// The caller owns `regions`, so a tile walk reuses one allocation.
+pub fn back_regions(layers: &[Layer], final_region: Region, regions: &mut Vec<Region>) -> Region {
     let n = layers.len();
-    let mut regions = vec![final_region; n];
+    regions.clear();
+    regions.resize(n, final_region);
     for i in (0..n - 1).rev() {
         let consumer = &layers[i + 1];
         let needed = regions[i + 1];
@@ -88,15 +92,12 @@ pub fn back_regions(layers: &[Layer], final_region: Region) -> (Vec<Region>, Reg
         };
     }
     let first = &layers[0];
-    let input_win = {
-        let w = input_window(first, &regions[0], 0, first.input.c);
-        Region {
-            c0: 0,
-            cn: first.input.c,
-            ..w
-        }
-    };
-    (regions, input_win)
+    let w = input_window(first, &regions[0], 0, first.input.c);
+    Region {
+        c0: 0,
+        cn: first.input.c,
+        ..w
+    }
 }
 
 /// A partial tensor: a region's worth of data addressed by *absolute*
@@ -134,14 +135,13 @@ impl RegionBuf {
         if y < 0 || x < 0 || y as usize >= self.full.h || x as usize >= self.full.w {
             return 0;
         }
-        let (y, x) = (y as usize, x as usize);
-        assert!(
-            self.region.contains(c, y, x),
-            "read ({c},{y},{x}) outside region {:?}",
-            self.region
-        );
-        let r = &self.region;
-        self.data[((c - r.c0) * r.yn + (y - r.y0)) * r.xn + (x - r.x0)]
+        self.row(c, y as usize, x as usize, 1)[0]
+    }
+
+    /// The `len` values of channel `c`, row `y`, from column `x` on, in
+    /// absolute coordinates; panics unless the region covers all of them.
+    pub fn row(&self, c: usize, y: usize, x: usize, len: usize) -> &[i8] {
+        Input::partial(self).row(c, y, x, len)
     }
 
     /// Region-local data slice.
@@ -150,156 +150,213 @@ impl RegionBuf {
     }
 }
 
-/// Reader abstraction over "full tensor in DRAM" vs "region buffer in SPM".
-enum Input<'a> {
-    Full(&'a Tensor<i8>),
-    Partial(&'a RegionBuf),
+/// What a layer reads: a dense CHW block of a full logical tensor — the
+/// whole tensor (a layer input in DRAM) or a [`RegionBuf`] (a fused
+/// producer's region on-chip) — addressed by absolute coordinates.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Input<'a> {
+    data: &'a [i8],
+    region: Region,
+    full: TensorShape,
 }
 
-impl Input<'_> {
+impl<'a> Input<'a> {
+    /// All of `t`.
+    pub(crate) fn full(t: &'a Tensor<i8>) -> Self {
+        let full = t.shape();
+        let region = Region {
+            c0: 0,
+            cn: full.c,
+            y0: 0,
+            yn: full.h,
+            x0: 0,
+            xn: full.w,
+        };
+        Self {
+            data: t.data(),
+            region,
+            full,
+        }
+    }
+
+    /// The region `buf` covers.
+    pub(crate) fn partial(buf: &'a RegionBuf) -> Self {
+        Self {
+            data: &buf.data,
+            region: buf.region,
+            full: buf.full,
+        }
+    }
+
+    /// `len ≥ 1` values of channel `c`, row `y`, from column `x` on.
+    ///
+    /// # Panics
+    /// Panics unless the block covers all of them (a region derivation bug).
     #[inline]
-    fn get(&self, c: usize, y: isize, x: isize) -> i8 {
-        match self {
-            Input::Full(t) => {
-                let s = t.shape();
-                if y < 0 || x < 0 || y as usize >= s.h || x as usize >= s.w {
-                    0
-                } else {
-                    t.get(c, y as usize, x as usize)
-                }
-            }
-            Input::Partial(r) => r.get(c, y, x),
+    fn row(&self, c: usize, y: usize, x: usize, len: usize) -> &'a [i8] {
+        let r = &self.region;
+        assert!(
+            r.contains(c, y, x) && x + len <= r.x0 + r.xn,
+            "read ({c},{y},{x}..{}) outside region {r:?}",
+            x + len
+        );
+        &self.data[((c - r.c0) * r.yn + (y - r.y0)) * r.xn + (x - r.x0)..][..len]
+    }
+}
+
+/// For kernel column `t` of a window sliding by `stride` over an input
+/// `extent` wide padded by `pad`, the outputs among `[o0, o0 + on)` whose
+/// tap `t` lies inside the input (tile-local) and the input column the
+/// first of them reads. Output `o` reads column `o·stride + t − pad`.
+fn tap_outputs(
+    t: usize,
+    (stride, pad, extent): (usize, usize, usize),
+    o0: usize,
+    on: usize,
+) -> (Range<usize>, usize) {
+    let first = pad.saturating_sub(t).div_ceil(stride).max(o0);
+    let end = (extent + pad)
+        .saturating_sub(t)
+        .div_ceil(stride)
+        .min(o0 + on)
+        .max(first);
+    (
+        first - o0..end - o0,
+        (first * stride + t).saturating_sub(pad),
+    )
+}
+
+/// `acc[i] += w · src[i · stride]` for every `i` of `acc`.
+#[inline]
+fn axpy(acc: &mut [i32], src: &[i8], w: i8, stride: usize) {
+    debug_assert!(acc.is_empty() || src.len() > (acc.len() - 1) * stride);
+    let w = w as i32;
+    if stride == 1 {
+        for (a, &v) in acc.iter_mut().zip(src) {
+            *a += w * v as i32;
+        }
+    } else {
+        for (a, &v) in acc.iter_mut().zip(src.iter().step_by(stride)) {
+            *a += w * v as i32;
         }
     }
 }
 
-/// Computes one layer's output region from a reader (bit-exact).
-fn compute_region(
+/// The sliding-window reduction of conv (every output channel reduces
+/// every input channel), depthwise (`per_channel`: output channel `c`
+/// reduces input channel `c` alone) and pointwise (a 1×1 conv) layers.
+///
+/// Each output row accumulates in `i32` over only the in-bounds taps: per
+/// input row in the window, every nonzero weight adds its tap's run of
+/// input columns — one contiguous slice of the row the tile reads — to the
+/// outputs that tap reaches. No tap pays a padding check, and integer sums
+/// make the order irrelevant, so the bytes equal the golden model's.
+fn window_reduce(
     layer: &Layer,
-    input: &Input<'_>,
+    input: Input<'_>,
+    kernel: &Kernel,
+    (k, stride, pad): (usize, usize, usize),
+    per_channel: bool,
+    buf: &mut RegionBuf,
+) {
+    let (shift, relu) = (layer.requant_shift, layer.has_relu());
+    let r = buf.region;
+    let full = input.full;
+    // The clipped input columns the tile reads; none means every window
+    // lies in padding and every output is requantize(0) = 0, as zeroed.
+    let (x_lo, x_len) = input_extent(r.x0, r.xn, k, stride, pad, full.w);
+    if x_len == 0 {
+        return;
+    }
+    // Per kernel column: the outputs it reaches and its offset in the row.
+    let spans: Vec<(usize, Range<usize>, usize)> = (0..k)
+        .map(|t| (t, tap_outputs(t, (stride, pad, full.w), r.x0, r.xn)))
+        .filter(|(_, (outs, _))| !outs.is_empty())
+        .map(|(t, (outs, ix))| (t, outs, ix - x_lo))
+        .collect();
+    let mut acc = vec![0i32; r.xn];
+    for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
+        let filter = kernel.filter(c);
+        let channels = if per_channel { c..c + 1 } else { 0..full.c };
+        for (yi, oy) in (r.y0..r.y0 + r.yn).enumerate() {
+            acc.fill(0);
+            let (iy0, iyn) = input_extent(oy, 1, k, stride, pad, full.h);
+            let ky0 = iy0 + pad - oy * stride;
+            for (fc, ic) in channels.clone().enumerate() {
+                for (ky, iy) in (ky0..).zip(iy0..iy0 + iyn) {
+                    let row = input.row(ic, iy, x_lo, x_len);
+                    let taps = &filter[(fc * k + ky) * k..][..k];
+                    for (t, outs, off) in &spans {
+                        if taps[*t] != 0 {
+                            axpy(&mut acc[outs.clone()], &row[*off..], taps[*t], stride);
+                        }
+                    }
+                }
+            }
+            let out_row = &mut buf.data[(ci * r.yn + yi) * r.xn..][..r.xn];
+            for (o, &a) in out_row.iter_mut().zip(&acc) {
+                *o = requantize(a, shift, relu);
+            }
+        }
+    }
+}
+
+/// Computes `out_region` of `layer`'s output from `input`, bit-exact
+/// against [`mocha_model::golden`]. This is the simulator's one tile
+/// kernel: a singleton layer reads its whole input tensor, a fused member
+/// its producer's region.
+pub(crate) fn compute_region(
+    layer: &Layer,
+    input: Input<'_>,
     kernel: Option<&Kernel>,
     out_region: Region,
 ) -> RegionBuf {
-    let full_out = layer.output();
-    let mut buf = RegionBuf::zeros(out_region, full_out);
+    let mut buf = RegionBuf::zeros(out_region, layer.output());
     let r = out_region;
+    let (shift, relu) = (layer.requant_shift, layer.has_relu());
+    let weights = || kernel.unwrap_or_else(|| panic!("{}: needs weights", layer.name));
     match layer.kind {
-        LayerKind::Conv {
-            k,
-            stride,
-            pad,
-            relu,
-            ..
-        } => {
-            let kernel = kernel.expect("conv needs weights");
-            let in_c = layer.input.c;
-            for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
-                for (yi, oy) in (r.y0..r.y0 + r.yn).enumerate() {
-                    for (xi, ox) in (r.x0..r.x0 + r.xn).enumerate() {
-                        let mut acc: i32 = 0;
-                        for ic in 0..in_c {
-                            for ky in 0..k {
-                                let iy = (oy * stride + ky) as isize - pad as isize;
-                                for kx in 0..k {
-                                    let ix = (ox * stride + kx) as isize - pad as isize;
-                                    let a = input.get(ic, iy, ix) as i32;
-                                    if a != 0 {
-                                        acc += a * kernel.get(c, ic, ky, kx) as i32;
-                                    }
-                                }
-                            }
-                        }
-                        buf.data[(ci * r.yn + yi) * r.xn + xi] =
-                            requantize(acc, layer.requant_shift, relu);
-                    }
-                }
+        LayerKind::Conv { k, stride, pad, .. } => {
+            window_reduce(layer, input, weights(), (k, stride, pad), false, &mut buf)
+        }
+        LayerKind::DwConv { k, stride, pad, .. } => {
+            window_reduce(layer, input, weights(), (k, stride, pad), true, &mut buf)
+        }
+        // Pointwise ≡ conv with k = 1, stride = 1, pad = 0.
+        LayerKind::Pointwise { .. } => {
+            window_reduce(layer, input, weights(), (1, 1, 0), false, &mut buf)
+        }
+        LayerKind::Fc { .. } => {
+            // Fc reduces each output over the whole flattened input.
+            assert_eq!(input.data.len(), input.full.volume(), "fc reads all input");
+            for (v, c) in buf.data.iter_mut().zip(r.c0..) {
+                let acc: i32 = (input.data.iter().zip(weights().filter(c)))
+                    .map(|(&a, &w)| a as i32 * w as i32)
+                    .sum();
+                *v = requantize(acc, shift, relu);
             }
         }
         LayerKind::Pool { kind, k, stride } => {
-            for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
-                for (yi, oy) in (r.y0..r.y0 + r.yn).enumerate() {
-                    for (xi, ox) in (r.x0..r.x0 + r.xn).enumerate() {
+            // Pooling windows never reach past the input: no padding.
+            let mut out = buf.data.iter_mut();
+            for c in r.c0..r.c0 + r.cn {
+                for oy in r.y0..r.y0 + r.yn {
+                    for ox in r.x0..r.x0 + r.xn {
+                        let window = (oy * stride..oy * stride + k)
+                            .flat_map(|iy| input.row(c, iy, ox * stride, k))
+                            .copied();
                         let v = match kind {
-                            mocha_model::PoolKind::Max => {
-                                let mut m = i8::MIN;
-                                for ky in 0..k {
-                                    for kx in 0..k {
-                                        m = m.max(input.get(
-                                            c,
-                                            (oy * stride + ky) as isize,
-                                            (ox * stride + kx) as isize,
-                                        ));
-                                    }
-                                }
-                                m
-                            }
-                            mocha_model::PoolKind::Avg => {
-                                let mut s: i32 = 0;
-                                for ky in 0..k {
-                                    for kx in 0..k {
-                                        s += input.get(
-                                            c,
-                                            (oy * stride + ky) as isize,
-                                            (ox * stride + kx) as isize,
-                                        ) as i32;
-                                    }
-                                }
+                            PoolKind::Max => window.fold(i8::MIN, i8::max),
+                            PoolKind::Avg => {
+                                let s: i32 = window.map(i32::from).sum();
                                 (s / (k * k) as i32) as i8
                             }
                         };
-                        buf.data[(ci * r.yn + yi) * r.xn + xi] = v;
+                        *out.next().expect("one value per output") = v;
                     }
                 }
             }
         }
-        LayerKind::DwConv {
-            k,
-            stride,
-            pad,
-            relu,
-        } => {
-            let kernel = kernel.expect("dwconv needs weights");
-            for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
-                for (yi, oy) in (r.y0..r.y0 + r.yn).enumerate() {
-                    for (xi, ox) in (r.x0..r.x0 + r.xn).enumerate() {
-                        let mut acc: i32 = 0;
-                        for ky in 0..k {
-                            let iy = (oy * stride + ky) as isize - pad as isize;
-                            for kx in 0..k {
-                                let ix = (ox * stride + kx) as isize - pad as isize;
-                                let a = input.get(c, iy, ix) as i32;
-                                if a != 0 {
-                                    acc += a * kernel.get(c, 0, ky, kx) as i32;
-                                }
-                            }
-                        }
-                        buf.data[(ci * r.yn + yi) * r.xn + xi] =
-                            requantize(acc, layer.requant_shift, relu);
-                    }
-                }
-            }
-        }
-        LayerKind::Pointwise { relu, .. } => {
-            // Pointwise ≡ conv with k = 1, stride = 1, pad = 0.
-            let kernel = kernel.expect("pointwise needs weights");
-            let in_c = layer.input.c;
-            for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
-                for (yi, oy) in (r.y0..r.y0 + r.yn).enumerate() {
-                    for (xi, ox) in (r.x0..r.x0 + r.xn).enumerate() {
-                        let mut acc: i32 = 0;
-                        for ic in 0..in_c {
-                            let a = input.get(ic, oy as isize, ox as isize) as i32;
-                            if a != 0 {
-                                acc += a * kernel.get(c, ic, 0, 0) as i32;
-                            }
-                        }
-                        buf.data[(ci * r.yn + yi) * r.xn + xi] =
-                            requantize(acc, layer.requant_shift, relu);
-                    }
-                }
-            }
-        }
-        LayerKind::Fc { .. } => unreachable!("fc never fuses"),
     }
     buf
 }
@@ -313,14 +370,9 @@ pub(crate) fn cascade(
     kernels: &[Option<&Kernel>],
     regions: &[Region],
 ) -> RegionBuf {
-    let mut current = compute_region(&layers[0], &Input::Full(input), kernels[0], regions[0]);
+    let mut current = compute_region(&layers[0], Input::full(input), kernels[0], regions[0]);
     for i in 1..layers.len() {
-        current = compute_region(
-            &layers[i],
-            &Input::Partial(&current),
-            kernels[i],
-            regions[i],
-        );
+        current = compute_region(&layers[i], Input::partial(&current), kernels[i], regions[i]);
     }
     current
 }
@@ -416,7 +468,8 @@ mod tests {
             x0: 0,
             xn: 4,
         };
-        let (regions, input_win) = back_regions(&group.layers, final_region);
+        let mut regions = Vec::new();
+        let input_win = back_regions(&group.layers, final_region, &mut regions);
         // Pool k2s2: conv must produce rows [0, 8) of channels [0, 8).
         assert_eq!(
             regions[0],
@@ -450,7 +503,8 @@ mod tests {
             x0: 0,
             xn: 2,
         };
-        let (regions, _) = back_regions(&group.layers, final_region);
+        let mut regions = Vec::new();
+        back_regions(&group.layers, final_region, &mut regions);
         // conv3 consumer: needs ALL 32 channels of pool2's output.
         assert_eq!(regions[1].cn, 32);
         assert_eq!(regions[0].cn, 32);
@@ -609,6 +663,150 @@ mod tests {
         };
         let buf = RegionBuf::zeros(region, TensorShape::new(4, 8, 8));
         buf.get(0, 0, 0);
+    }
+
+    /// A layer of the kernel test below.
+    fn test_layer(name: &str, kind: LayerKind, input: TensorShape) -> Layer {
+        Layer {
+            name: name.into(),
+            kind,
+            input,
+            requant_shift: 5,
+        }
+    }
+
+    /// The one tile kernel equals the golden model on random output regions
+    /// of every layer kind, reading either the whole input tensor or a
+    /// region buffer that holds just the region's clipped input window.
+    #[test]
+    fn compute_region_matches_golden_on_random_regions() {
+        use mocha_model::{gen, PoolKind};
+        let conv = |out_c, k, stride, pad| LayerKind::Conv {
+            out_c,
+            k,
+            stride,
+            pad,
+            relu: true,
+            groups: 1,
+        };
+        let dw = |k, stride, pad| LayerKind::DwConv {
+            k,
+            stride,
+            pad,
+            relu: false,
+        };
+        let pool = |kind, k, stride| LayerKind::Pool { kind, k, stride };
+        let layers = [
+            // alexnet conv1's window and stride, on a smaller input
+            test_layer(
+                "conv k11 s4",
+                conv(8, 11, 4, 0),
+                TensorShape::new(3, 35, 35),
+            ),
+            // alexnet conv2's padded window
+            test_layer("conv k5 p2", conv(12, 5, 1, 2), TensorShape::new(6, 13, 13)),
+            test_layer(
+                "conv k3 s2 p1",
+                conv(5, 3, 2, 1),
+                TensorShape::new(4, 9, 11),
+            ),
+            test_layer("conv k3 p3", conv(3, 3, 1, 3), TensorShape::new(2, 5, 4)),
+            test_layer("dw k3 p1", dw(3, 1, 1), TensorShape::new(7, 10, 10)),
+            test_layer("dw k3 s2 p1", dw(3, 2, 1), TensorShape::new(5, 11, 9)),
+            test_layer(
+                "pw",
+                LayerKind::Pointwise {
+                    out_c: 9,
+                    relu: true,
+                },
+                TensorShape::new(6, 7, 8),
+            ),
+            test_layer(
+                "fc",
+                LayerKind::Fc {
+                    out: 24,
+                    relu: true,
+                },
+                TensorShape::new(4, 5, 5),
+            ),
+            test_layer(
+                "max k3 s2",
+                pool(PoolKind::Max, 3, 2),
+                TensorShape::new(4, 13, 13),
+            ),
+            test_layer(
+                "avg k2 s2",
+                pool(PoolKind::Avg, 2, 2),
+                TensorShape::new(3, 8, 8),
+            ),
+        ];
+        let mut rng = gen::rng(0x7113);
+        for layer in &layers {
+            let input = gen::activations(layer.input, 0.3, &mut rng);
+            let kernel = layer
+                .kernel_shape()
+                .map(|ks| gen::kernel(ks, 0.2, &mut rng));
+            let want = golden::layer(layer, &input, kernel.as_ref());
+            let out = layer.output();
+            let whole = Region {
+                c0: 0,
+                cn: out.c,
+                y0: 0,
+                yn: out.h,
+                x0: 0,
+                xn: out.w,
+            };
+            let mut regions = vec![whole];
+            for _ in 0..40 {
+                let c0 = rng.gen_range(0..out.c);
+                let y0 = rng.gen_range(0..out.h);
+                let x0 = rng.gen_range(0..out.w);
+                regions.push(Region {
+                    c0,
+                    cn: rng.gen_range(1..=out.c - c0),
+                    y0,
+                    yn: rng.gen_range(1..=out.h - y0),
+                    x0,
+                    xn: rng.gen_range(1..=out.w - x0),
+                });
+            }
+            for r in regions {
+                let expect: Vec<i8> = (r.c0..r.c0 + r.cn)
+                    .flat_map(|c| (r.y0..r.y0 + r.yn).map(move |y| (c, y)))
+                    .flat_map(|(c, y)| (r.x0..r.x0 + r.xn).map(move |x| (c, y, x)))
+                    .map(|(c, y, x)| want.get(c, y, x))
+                    .collect();
+                let full = compute_region(layer, Input::full(&input), kernel.as_ref(), r);
+                assert_eq!(
+                    full.data(),
+                    expect,
+                    "{} {r:?} from the whole input",
+                    layer.name
+                );
+                if matches!(layer.kind, LayerKind::Fc { .. }) {
+                    continue; // fc never fuses, so it never reads a region
+                }
+                // The clipped window the region reads, as a fused producer
+                // leaves it on-chip.
+                let win = match layer.kind {
+                    LayerKind::Conv { .. } | LayerKind::Pointwise { .. } => Region {
+                        c0: 0,
+                        cn: layer.input.c,
+                        ..input_window(layer, &r, 0, layer.input.c)
+                    },
+                    _ => input_window(layer, &r, r.c0, r.cn),
+                };
+                let data = (win.c0..win.c0 + win.cn)
+                    .flat_map(|c| (win.y0..win.y0 + win.yn).map(move |y| (c, y)))
+                    .flat_map(|(c, y)| {
+                        input.channel(c)[y * layer.input.w..][win.x0..win.x0 + win.xn].to_vec()
+                    })
+                    .collect();
+                let held = RegionBuf::from_vec(win, layer.input, data);
+                let part = compute_region(layer, Input::partial(&held), kernel.as_ref(), r);
+                assert_eq!(part.data(), expect, "{} {r:?} from {win:?}", layer.name);
+            }
+        }
     }
 
     #[test]

@@ -106,6 +106,9 @@ impl LayerPlan {
 struct Estimated<'a>(&'a SparsityEstimate);
 
 impl StreamSource for Estimated<'_> {
+    /// Every size is `Codec::estimated_size` of a raw length.
+    const SIZED_BY_LENGTH: bool = true;
+
     /// Compressed stream sizes are estimates, so a compressed plan
     /// provisions a 2 % capacity margin to keep the actual execution from
     /// overflowing on unlucky data; uncompressed plans use exact sizes and
@@ -209,6 +212,7 @@ mod tests {
     use super::*;
     use crate::exec::{default_morph, execute_layer, ExecContext};
     use crate::morph::{CompressionChoice, LoopOrder, Parallelism, Tiling};
+    use crate::tiling::reduction_depth;
     use mocha_fabric::Buffering;
     use mocha_model::gen::{SparsityProfile, Workload};
     use mocha_model::network;
@@ -351,6 +355,123 @@ mod tests {
             );
             current = run.output;
         }
+    }
+
+    /// [`Estimated`] with its sizes declared content-dependent, so the walk
+    /// prices one reduction slab at a time: the oracle for slab runs.
+    struct SlabBySlab<'a>(Estimated<'a>);
+
+    impl StreamSource for SlabBySlab<'_> {
+        const SIZED_BY_LENGTH: bool = false;
+
+        fn scratchpad(&self, fabric: &FabricConfig, morph: &MorphConfig) -> Scratchpad {
+            self.0.scratchpad(fabric, morph)
+        }
+
+        fn window(&mut self, layer: &Layer, win: &Region, raw: usize, codec: Codec) -> usize {
+            self.0.window(layer, win, raw, codec)
+        }
+
+        fn kernel_block(
+            &mut self,
+            member: usize,
+            oc: (usize, usize),
+            ic: (usize, usize),
+            raw: usize,
+            codec: Codec,
+        ) -> usize {
+            self.0.kernel_block(member, oc, ic, raw, codec)
+        }
+
+        fn skip_fraction(&self, member: usize, oc: (usize, usize)) -> f64 {
+            self.0.skip_fraction(member, oc)
+        }
+
+        fn weighted_tile(&mut self, layer: &Layer, out: &Region, store: Option<Codec>) -> usize {
+            self.0.weighted_tile(layer, out, store)
+        }
+
+        fn pool_tile(&mut self, layer: &Layer, out: &Region, store: Option<Codec>) -> usize {
+            self.0.pool_tile(layer, out, store)
+        }
+
+        fn fused_tile(
+            &mut self,
+            layers: &[Layer],
+            regions: &[Region],
+            store: Option<Codec>,
+        ) -> usize {
+            self.0.fused_tile(layers, regions, store)
+        }
+    }
+
+    /// Pricing each run of equal-width slabs once walks to the same totals,
+    /// bit for bit, as pricing every slab: under both loop orders, with and
+    /// without codecs, on layers whose depth leaves a remainder slab at
+    /// `tile_ic` 64 (lenet5 fc4: 120 = 64 + 56; alexnet conv2: 96 = 64 + 32)
+    /// and on layers it divides (alexnet conv3: 4 slabs; fc6: 144).
+    #[test]
+    fn slab_runs_walk_bit_identical_to_single_slabs() {
+        let (fabric, costs, _) = contexts();
+        let ctx = ExecContext {
+            fabric: &fabric,
+            codec_costs: &costs,
+        };
+        let est = SparsityEstimate {
+            ifmap_sparsity: 0.6,
+            ifmap_mean_run: 3.0,
+            kernel_sparsity: 0.3,
+            ofmap_sparsity: 0.5,
+            ofmap_mean_run: 2.0,
+        };
+        let (lenet, alexnet) = (network::lenet5(), network::alexnet());
+        let layer = |net: &'static str, name: &str| {
+            let n = if net == "lenet5" { &lenet } else { &alexnet };
+            n.layers().iter().find(|l| l.name == name).unwrap().clone()
+        };
+        let cases = [
+            (layer("lenet5", "fc4"), 120, (16, 1, 1)),
+            (layer("alexnet", "conv2"), 96, (16, 5, 5)),
+            (layer("alexnet", "conv3"), 256, (16, 5, 5)),
+            (layer("alexnet", "fc6"), 9216, (8, 1, 1)),
+        ];
+        let mut runs = 0;
+        for (layer, depth, (tile_oc, tile_oh, tile_ow)) in &cases {
+            assert_eq!(reduction_depth(layer), *depth, "{}", layer.name);
+            for loop_order in [LoopOrder::WeightStationary, LoopOrder::InputStationary] {
+                for compression in [CompressionChoice::OFF, CompressionChoice::ON] {
+                    let morph = MorphConfig {
+                        tiling: Tiling {
+                            tile_oc: *tile_oc,
+                            tile_oh: *tile_oh,
+                            tile_ow: *tile_ow,
+                            tile_ic: 64,
+                        },
+                        loop_order,
+                        compression,
+                        ..default_morph(layer)
+                    };
+                    let what = format!("{} {morph}", layer.name);
+                    let runs_once = walk_layer(&ctx, layer, &morph, true, &mut Estimated(&est))
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let one_by_one =
+                        walk_layer(&ctx, layer, &morph, true, &mut SlabBySlab(Estimated(&est)))
+                            .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    assert_eq!(runs_once.cycles, one_by_one.cycles, "{what} cycles");
+                    assert_eq!(runs_once.events, one_by_one.events, "{what} events");
+                    assert_eq!(
+                        runs_once.events.priced_pj.to_bits(),
+                        one_by_one.events.priced_pj.to_bits(),
+                        "{what} priced_pj"
+                    );
+                    assert_eq!(runs_once.spm_peak, one_by_one.spm_peak, "{what} spm");
+                    assert_eq!(runs_once.tiles, one_by_one.tiles, "{what} tiles");
+                    assert_eq!(runs_once.phases, one_by_one.phases, "{what} phases");
+                    runs += 1;
+                }
+            }
+        }
+        assert_eq!(runs, 16);
     }
 
     #[test]

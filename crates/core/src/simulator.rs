@@ -161,7 +161,21 @@ pub struct Session {
 impl Session {
     /// Starts a session at the first layer. Computes the golden reference
     /// up-front when the simulator verifies.
+    ///
+    /// # Panics
+    /// Panics with a one-line message naming the layer when the network
+    /// holds a grouped convolution: the tile walks and the tile kernel
+    /// reduce every input channel, and only the golden model splits them.
     pub fn new(sim: Simulator, workload: Workload) -> Self {
+        for layer in workload.network.layers() {
+            if let LayerKind::Conv { groups, .. } = layer.kind {
+                assert!(
+                    groups == 1,
+                    "{}: grouped convolution (groups={groups}) cannot be simulated",
+                    layer.name
+                );
+            }
+        }
         let golden_outs = if sim.verify {
             golden::forward(&workload)
         } else {
@@ -415,6 +429,16 @@ mod tests {
         assert!(!m.groups.is_empty());
         assert!(m.cycles() > 0);
         assert!(m.report(&EnergyTable::default()).gops() > 0.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "g1: grouped convolution (groups=4) cannot be simulated")]
+    fn grouped_convolutions_are_refused_up_front() {
+        let mut b = network::NetworkBuilder::new("g", mocha_model::TensorShape::new(8, 16, 16));
+        b.conv("c0", 8, 3, 1, 1, true, 4)
+            .grouped_conv("g1", 16, 3, 1, 1, 4, true, 4);
+        let w = Workload::generate(b.build(), SparsityProfile::NOMINAL, 1);
+        Session::new(Simulator::new(Accelerator::mocha(Objective::Edp)), w);
     }
 
     #[test]

@@ -61,22 +61,30 @@ mocha_json::impl_json_struct!(EventCounts {
 impl EventCounts {
     /// Accumulates another run's counts into this one.
     pub fn merge(&mut self, other: &EventCounts) {
-        self.macs += other.macs;
-        self.macs_skipped += other.macs_skipped;
-        self.pool_ops += other.pool_ops;
-        self.rf_reads += other.rf_reads;
-        self.rf_writes += other.rf_writes;
-        self.spm_read_bytes += other.spm_read_bytes;
-        self.spm_write_bytes += other.spm_write_bytes;
-        self.noc_flit_hops += other.noc_flit_hops;
-        self.dram_read_bytes += other.dram_read_bytes;
-        self.dram_write_bytes += other.dram_write_bytes;
-        self.dram_bursts += other.dram_bursts;
-        self.codec_bytes += other.codec_bytes;
-        self.priced_pj += other.priced_pj;
+        self.merge_times(other, 1);
+    }
+
+    /// Accumulates `n` copies of `other`. Integer fields gain exactly `n`
+    /// times `other`'s; `priced_pj` gains `n × other.priced_pj`, which
+    /// equals `n` successive [`EventCounts::merge`]s bit for bit when `n`
+    /// is 1 or `other.priced_pj` is zero, but not in general.
+    pub fn merge_times(&mut self, other: &EventCounts, n: u64) {
+        self.macs += n * other.macs;
+        self.macs_skipped += n * other.macs_skipped;
+        self.pool_ops += n * other.pool_ops;
+        self.rf_reads += n * other.rf_reads;
+        self.rf_writes += n * other.rf_writes;
+        self.spm_read_bytes += n * other.spm_read_bytes;
+        self.spm_write_bytes += n * other.spm_write_bytes;
+        self.noc_flit_hops += n * other.noc_flit_hops;
+        self.dram_read_bytes += n * other.dram_read_bytes;
+        self.dram_write_bytes += n * other.dram_write_bytes;
+        self.dram_bursts += n * other.dram_bursts;
+        self.codec_bytes += n * other.codec_bytes;
+        self.priced_pj += n as f64 * other.priced_pj;
         // Cycles of sequential phases add; callers doing overlap accounting
         // set this field directly instead of merging.
-        self.active_cycles += other.active_cycles;
+        self.active_cycles += n * other.active_cycles;
     }
 
     /// Total bytes that crossed the DRAM interface — the paper's key
@@ -149,6 +157,28 @@ mod tests {
         assert_eq!(a.dram_bytes(), 40);
         assert_eq!(a.priced_pj, 2.0);
         assert_eq!(a.active_cycles, 100);
+    }
+
+    #[test]
+    fn merge_times_equals_repeated_merges_on_integer_fields() {
+        let one = EventCounts {
+            dram_read_bytes: 64,
+            dram_bursts: 1,
+            noc_flit_hops: 192,
+            spm_write_bytes: 60,
+            ..Default::default()
+        };
+        let mut repeated = EventCounts {
+            priced_pj: 0.1,
+            ..Default::default()
+        };
+        let mut scaled = repeated;
+        for _ in 0..7 {
+            repeated.merge(&one);
+        }
+        scaled.merge_times(&one, 7);
+        assert_eq!(scaled, repeated);
+        assert_eq!(scaled.priced_pj.to_bits(), repeated.priced_pj.to_bits());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! banks during compute phases.
 
 use crate::config::FabricConfig;
-use std::collections::BTreeMap;
 
 /// What a scratchpad region holds — for diagnostics and per-class stats.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -30,14 +29,15 @@ pub struct RegionId(u64);
 /// Allocation is bump-style with explicit frees (the dataflow engine
 /// allocates/frees per tile phase); fragmentation is not modelled — the
 /// hardware uses bank-interleaved placement, so capacity is the only
-/// constraint.
+/// constraint. A tile phase holds a handful of live regions, so they sit in
+/// a short `Vec` searched linearly.
 #[derive(Debug, Clone)]
 pub struct Scratchpad {
     capacity: usize,
     used: usize,
     peak: usize,
     next_id: u64,
-    regions: BTreeMap<RegionId, (RegionClass, usize)>,
+    regions: Vec<(RegionId, RegionClass, usize)>,
 }
 
 /// Error returned when an allocation exceeds the remaining capacity.
@@ -74,7 +74,7 @@ impl Scratchpad {
             used: 0,
             peak: 0,
             next_id: 0,
-            regions: BTreeMap::new(),
+            regions: Vec::new(),
         }
     }
 
@@ -91,7 +91,7 @@ impl Scratchpad {
         self.peak = self.peak.max(self.used);
         let id = RegionId(self.next_id);
         self.next_id += 1;
-        self.regions.insert(id, (class, bytes));
+        self.regions.push((id, class, bytes));
         Ok(id)
     }
 
@@ -100,7 +100,12 @@ impl Scratchpad {
     /// # Panics
     /// Panics on double free / unknown id — those are dataflow-engine bugs.
     pub fn free(&mut self, id: RegionId) {
-        let (_, bytes) = self.regions.remove(&id).expect("free of unknown region");
+        let i = self
+            .regions
+            .iter()
+            .position(|&(live, _, _)| live == id)
+            .expect("free of unknown region");
+        let (_, _, bytes) = self.regions.swap_remove(i);
         self.used -= bytes;
     }
 
@@ -127,9 +132,9 @@ impl Scratchpad {
     /// Live bytes per region class (diagnostics).
     pub fn used_by_class(&self, class: RegionClass) -> usize {
         self.regions
-            .values()
-            .filter(|(c, _)| *c == class)
-            .map(|(_, b)| *b)
+            .iter()
+            .filter(|&&(_, c, _)| c == class)
+            .map(|&(_, _, b)| b)
             .sum()
     }
 }

@@ -162,17 +162,9 @@ pub fn pool(layer: &Layer, input: &Tensor<i8>) -> Tensor<i8> {
     out
 }
 
-/// Reduction of one pooling window. Shared with the simulated dataflows so
-/// both sides agree on the (truncating) average semantics.
+/// Reduction of one pooling window; the average truncates toward zero.
 #[inline]
-pub fn pool_window(
-    input: &Tensor<i8>,
-    kind: PoolKind,
-    c: usize,
-    y0: usize,
-    x0: usize,
-    k: usize,
-) -> i8 {
+fn pool_window(input: &Tensor<i8>, kind: PoolKind, c: usize, y0: usize, x0: usize, k: usize) -> i8 {
     match kind {
         PoolKind::Max => {
             let mut m = i8::MIN;
