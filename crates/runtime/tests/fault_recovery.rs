@@ -217,24 +217,51 @@ fn quarantine_recarve_always_invalidates_cached_geometry() {
 }
 
 /// Completed jobs keep verifying bit-exactly against the single-tenant
-/// golden run even when faults forced retries, evictions and re-morphs.
+/// golden run even when faults forced retries, evictions, restarts and
+/// re-morphs. Each case asserts that the recovery path it covers ran.
 #[test]
 fn outputs_stay_bit_exact_under_fault_recovery() {
+    use mocha_obs::names;
+    use mocha_runtime::LeasePolicy;
     let subs = traffic(6, 11);
-    let cfg = faulted(25.0, 2, FaultMode::Quarantine);
-    let report = run_with(&cfg, &subs, &mut NoopRecorder);
     let clean = run_with(&RuntimeConfig::default(), &subs, &mut NoopRecorder);
-    assert!(
-        report.retried > 0,
-        "this seed must actually retry something"
-    );
-    for j in &report.jobs {
-        let golden = clean
-            .jobs
-            .iter()
-            .find(|g| g.id == j.id)
-            .expect("clean run completes everything");
-        assert_eq!(j.output_hash, golden.output_hash, "job {}", j.id);
-        assert_eq!(j.work_macs, golden.work_macs, "useful work is identical");
+    let static_quarantine = RuntimeConfig {
+        policy: LeasePolicy::StaticEqual,
+        ..faulted(25.0, 2, FaultMode::Quarantine)
+    };
+    for (name, cfg, path) in [
+        (
+            "adaptive quarantine",
+            faulted(25.0, 2, FaultMode::Quarantine),
+            names::FAULT_EVICTIONS,
+        ),
+        (
+            "static quarantine",
+            static_quarantine,
+            names::FAULT_EVICTIONS,
+        ),
+        (
+            "fail-stop",
+            faulted(5.0, 2, FaultMode::FailStop),
+            names::FAULT_RESTARTS,
+        ),
+    ] {
+        let mut rec = MemRecorder::new();
+        let report = run_with(&cfg, &subs, &mut rec);
+        assert!(report.retried > 0, "{name}: this seed must retry something");
+        assert!(rec.counter(path) > 0, "{name}: {path} never happened");
+        assert!(!report.jobs.is_empty(), "{name}: some job completes");
+        for j in &report.jobs {
+            let golden = clean
+                .jobs
+                .iter()
+                .find(|g| g.id == j.id)
+                .expect("clean run completes everything");
+            assert_eq!(j.output_hash, golden.output_hash, "{name}: job {}", j.id);
+            assert_eq!(
+                j.work_macs, golden.work_macs,
+                "{name}: useful work is identical"
+            );
+        }
     }
 }
