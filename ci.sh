@@ -27,6 +27,11 @@ cargo build --release --workspace
 echo "== cargo test"
 cargo test --workspace -q
 
+echo "== golden oracle on the benchmark networks' real shapes (release, ignored in debug)"
+# Every conv, depthwise and pointwise layer of AlexNet and MobileNet against
+# the per-tap scalar oracles; too slow for the debug test run above.
+cargo test --release -q -p mocha-model -- --ignored
+
 echo "== benchmark tests (the perf package is its own workspace)"
 cargo test -q --manifest-path crates/bench/src/bin/perf/Cargo.toml
 

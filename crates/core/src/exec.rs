@@ -154,6 +154,13 @@ impl<'a> Measured<'a> {
         self.kernels[member].expect("weighted layer needs kernel")
     }
 
+    /// Records an uncompressed stream of `raw` bytes, whose size is its
+    /// length, without materializing or scanning it.
+    fn price_uncompressed(&mut self, raw: usize, is_kernel: bool) -> usize {
+        self.compression.record(Codec::None, is_kernel, raw, raw);
+        raw
+    }
+
     /// Sizes and records the stream in `scratch`.
     fn price_scratch(&mut self, codec: Codec, is_kernel: bool) -> usize {
         let encoded = encode_checked(codec, &self.scratch);
@@ -189,6 +196,9 @@ impl StreamSource for Measured<'_> {
     }
 
     fn window(&mut self, layer: &Layer, win: &Region, raw: usize, codec: Codec) -> usize {
+        if codec == Codec::None {
+            return self.price_uncompressed(raw, false);
+        }
         window_bytes_into(layer, self.input, win, &mut self.scratch);
         debug_assert_eq!(self.scratch.len(), raw);
         self.price_scratch(codec, false)
@@ -202,6 +212,9 @@ impl StreamSource for Measured<'_> {
         raw: usize,
         codec: Codec,
     ) -> usize {
+        if codec == Codec::None {
+            return self.price_uncompressed(raw, true);
+        }
         self.kernel(member)
             .filter_block_into(c0, cn, ic0, icn, &mut self.scratch);
         debug_assert_eq!(self.scratch.len(), raw);

@@ -1,11 +1,16 @@
 //! Bit-exact golden reference executor.
 //!
-//! The simplest possible direct implementation of each operator, used as the
-//! correctness oracle for every simulated dataflow: tiled, fused, parallel or
-//! compressed execution must reproduce these bytes exactly. Convolutions (one
-//! task per output channel) and fc layers (one task per output) run on
-//! `mocha-engine`, which honours `--threads`: each task is an independent
-//! reduction, so parallel and sequential results are identical.
+//! The correctness oracle for every simulated dataflow: tiled, fused,
+//! parallel or compressed execution must reproduce these bytes exactly.
+//! Conv, depthwise and pointwise layers share one lowering: each channel
+//! group's input becomes a patch matrix with one row per output pixel, in
+//! the `(ic, ky, kx)` order of a filter, so each output is one long dot
+//! product of a patch row with its filter. The simulator's tile kernel
+//! accumulates output rows tap by tap instead, so the two loops share no
+//! indexing. Weighted layers (one task per output channel or fc output)
+//! run on `mocha-engine`, which honours `--threads`: each task is an
+//! independent reduction, so parallel and sequential results are
+//! identical.
 
 use crate::gen::Workload;
 use crate::layer::{Layer, LayerKind, PoolKind};
@@ -33,7 +38,7 @@ fn assert_shapes(layer: &Layer, input: &Tensor<i8>, kernel: Option<&Kernel>) {
     }
 }
 
-/// Direct convolution of `input` with `kernel`, with stride/pad/ReLU and
+/// Grouped convolution of `input` with `kernel`, with stride/pad/ReLU and
 /// requantization taken from `layer`.
 ///
 /// # Panics
@@ -51,7 +56,7 @@ pub fn conv(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel) -> Tensor<i8> {
         panic!("{}: not a conv layer", layer.name);
     };
     assert_shapes(layer, input, Some(kernel));
-    direct(layer, input, kernel, (k, stride, pad), groups, relu)
+    patch_conv(layer, input, kernel, (k, stride, pad), groups, relu)
 }
 
 /// The taps `[lo, hi)` of a `k`-wide window at output coordinate `o` whose
@@ -70,45 +75,66 @@ fn dot(a: &[i8], b: &[i8]) -> i32 {
     a.iter().zip(b).map(|(&a, &b)| a as i32 * b as i32).sum()
 }
 
-/// Direct grouped convolution shared by [`conv`] and [`dwconv`] (a depthwise
-/// layer is the one-channel-per-group case). Each output channel reduces its
-/// group's input channels in `(ic, ky, kx)` order over only the in-bounds
-/// taps, so no tap pays a padding check; output channels write disjoint
-/// planes, one engine task each.
-fn direct(
+/// The patch matrices of `input` under a `k`-wide window at `stride`/`pad`
+/// over `groups` channel groups, stored group after group. Group `g`'s
+/// matrix has one row per pixel of the `out_h × out_w` output, row-major;
+/// a row holds the group's `in_c / groups × k²` window bytes in `(ic, ky,
+/// kx)` order, the layout of a filter. Padding taps stay zero: each window
+/// row copies its in-bounds taps as one run.
+fn patch_matrix(
+    input: &Tensor<i8>,
+    (k, stride, pad): (usize, usize, usize),
+    groups: usize,
+    (out_h, out_w): (usize, usize),
+) -> Vec<i8> {
+    let in_shape = input.shape();
+    let group_in_c = in_shape.c / groups;
+    let cols = group_in_c * k * k;
+    let mut m = vec![0i8; groups * out_h * out_w * cols];
+    for (g, matrix) in m.chunks_exact_mut(out_h * out_w * cols).enumerate() {
+        for (oy, band) in matrix.chunks_exact_mut(out_w * cols).enumerate() {
+            let (kys, iy0) = taps(oy, stride, pad, k, in_shape.h);
+            for (ox, row) in band.chunks_exact_mut(cols).enumerate() {
+                let (kxs, ix0) = taps(ox, stride, pad, k, in_shape.w);
+                for (ic, window) in row.chunks_exact_mut(k * k).enumerate() {
+                    let channel = input.channel(g * group_in_c + ic);
+                    for (iy, ky) in (iy0..).zip(kys.clone()) {
+                        window[ky * k..][kxs.clone()]
+                            .copy_from_slice(&channel[iy * in_shape.w + ix0..][..kxs.len()]);
+                    }
+                }
+            }
+        }
+    }
+    m
+}
+
+/// Grouped convolution shared by [`conv`], [`dwconv`] (one channel per
+/// group) and [`pointwise`] (`k = 1`, stride 1, no padding), lowered to
+/// [`patch_matrix`]: each output is the dot product of its patch row with
+/// its filter. Output channels write disjoint planes, one engine task
+/// each.
+fn patch_conv(
     layer: &Layer,
     input: &Tensor<i8>,
     kernel: &Kernel,
-    (k, stride, pad): (usize, usize, usize),
+    window: (usize, usize, usize),
     groups: usize,
     relu: bool,
 ) -> Tensor<i8> {
     let out_shape = layer.output();
-    let in_shape = input.shape();
-    // Each output channel reduces over its group's input-channel slice;
-    // groups == 1 degenerates to the familiar all-channel reduction.
-    let group_in_c = in_shape.c / groups;
+    let patches = patch_matrix(input, window, groups, (out_shape.h, out_shape.w));
     let group_out_c = out_shape.c / groups;
+    let group_len = patches.len() / groups;
+    let cols = kernel.shape().filter_volume();
 
     let mut out = Tensor::zeros(out_shape);
     let planes = out.data_mut().chunks_mut(out_shape.plane()).collect();
     Engine::configured().map_vec(planes, |oc, out_plane: &mut [i8]| {
-        let ic_base = (oc / group_out_c) * group_in_c;
+        let matrix = &patches[oc / group_out_c * group_len..][..group_len];
         let filter = kernel.filter(oc);
-        for oy in 0..out_shape.h {
-            let (kys, iy0) = taps(oy, stride, pad, k, in_shape.h);
-            for ox in 0..out_shape.w {
-                let (kxs, ix0) = taps(ox, stride, pad, k, in_shape.w);
-                let mut acc: i32 = 0;
-                for ic in 0..group_in_c {
-                    let channel = input.channel(ic_base + ic);
-                    for (iy, ky) in (iy0..).zip(kys.clone()) {
-                        let row = &channel[iy * in_shape.w + ix0..][..kxs.len()];
-                        acc += dot(row, &filter[(ic * k + ky) * k..][kxs.clone()]);
-                    }
-                }
-                out_plane[oy * out_shape.w + ox] = requantize(acc, layer.requant_shift, relu);
-            }
+        for (o, row) in out_plane.iter_mut().zip(matrix.chunks_exact(cols)) {
+            *o = requantize(dot(row, filter), layer.requant_shift, relu);
         }
     });
     out
@@ -117,30 +143,11 @@ fn direct(
 /// Pointwise (1×1) convolution: every output pixel is a dense cross-channel
 /// mix of the input pixel at the same location.
 pub fn pointwise(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel) -> Tensor<i8> {
-    let LayerKind::Pointwise { out_c, relu } = layer.kind else {
+    let LayerKind::Pointwise { relu, .. } = layer.kind else {
         panic!("{}: not a pointwise layer", layer.name);
     };
     assert_shapes(layer, input, Some(kernel));
-
-    let out_shape = layer.output();
-    let in_shape = input.shape();
-    let shift = layer.requant_shift;
-
-    let mut out = Tensor::zeros(out_shape);
-    let planes = out.data_mut().chunks_mut(out_shape.plane()).collect();
-    Engine::configured().map_vec(planes, |oc, out_plane: &mut [i8]| {
-        debug_assert!(oc < out_c);
-        for oy in 0..out_shape.h {
-            for ox in 0..out_shape.w {
-                let mut acc: i32 = 0;
-                for ic in 0..in_shape.c {
-                    acc += input.get(ic, oy, ox) as i32 * kernel.get(oc, ic, 0, 0) as i32;
-                }
-                out_plane[oy * out_shape.w + ox] = requantize(acc, shift, relu);
-            }
-        }
-    });
-    out
+    patch_conv(layer, input, kernel, (1, 1, 0), 1, relu)
 }
 
 /// Spatial pooling (max or truncating average) per `layer`.
@@ -214,7 +221,7 @@ pub fn dwconv(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel) -> Tensor<i8> 
         panic!("{}: not a dwconv layer", layer.name);
     };
     assert_shapes(layer, input, Some(kernel));
-    direct(
+    patch_conv(
         layer,
         input,
         kernel,
@@ -241,12 +248,11 @@ pub fn layer(l: &Layer, input: &Tensor<i8>, kernel: Option<&Kernel>) -> Tensor<i
 /// map (index `i` = output of layer `i`). Keeping the intermediates lets
 /// equivalence tests compare any simulated layer in isolation.
 pub fn forward(workload: &Workload) -> Vec<Tensor<i8>> {
-    let mut outputs = Vec::with_capacity(workload.network.len());
-    let mut current = workload.input.clone();
-    for (i, l) in workload.network.layers().iter().enumerate() {
-        let next = layer(l, &current, workload.kernels[i].as_ref());
-        outputs.push(next.clone());
-        current = next;
+    let mut outputs: Vec<Tensor<i8>> = Vec::with_capacity(workload.network.len());
+    for (l, kernel) in workload.network.layers().iter().zip(&workload.kernels) {
+        let input = outputs.last().unwrap_or(&workload.input);
+        let next = layer(l, input, kernel.as_ref());
+        outputs.push(next);
     }
     outputs
 }
@@ -258,9 +264,9 @@ mod tests {
     use crate::network;
     use crate::shape::{KernelShape, TensorShape};
 
-    /// The original per-tap convolution loop nest, bounds-checking every
-    /// tap against the padding; kept as the differential oracle for the
-    /// in-bounds-tap loops of [`direct`].
+    /// The per-tap convolution loop nest, bounds-checking every tap
+    /// against the padding; the differential oracle for the patch-matrix
+    /// lowering of [`patch_conv`].
     fn conv_scalar(layer: &Layer, input: &Tensor<i8>, kernel: &Kernel) -> Tensor<i8> {
         let LayerKind::Conv {
             out_c,
@@ -384,12 +390,25 @@ mod tests {
                             };
                             let input = gen::activations(l.input, 0.3, &mut rng);
                             let kernel = gen::kernel(l.kernel_shape().unwrap(), 0.2, &mut rng);
+                            let scalar = conv_scalar(&l, &input, &kernel);
                             assert_eq!(
                                 conv(&l, &input, &kernel),
-                                conv_scalar(&l, &input, &kernel),
+                                scalar,
                                 "{} {h}x{w} relu={relu} shift={requant_shift}",
                                 l.name
                             );
+                            if (k, stride, pad, groups) == (1, 1, 0, 1) {
+                                let pw = Layer {
+                                    name: "pw".into(),
+                                    kind: LayerKind::Pointwise { out_c, relu },
+                                    ..l
+                                };
+                                assert_eq!(
+                                    pointwise(&pw, &input, &kernel),
+                                    scalar,
+                                    "pw {h}x{w} relu={relu} shift={requant_shift}"
+                                );
+                            }
                         }
                         let l = Layer {
                             name: format!("dw k{k} s{stride} p{pad}"),
@@ -622,38 +641,6 @@ mod tests {
     }
 
     #[test]
-    fn pointwise_matches_one_by_one_conv() {
-        // A Pointwise layer and a 1×1 dense conv over the same input and
-        // weights must be bit-identical.
-        let shape = TensorShape::new(6, 9, 9);
-        let input = gen::activations(shape, 0.4, &mut gen::rng(11));
-        let k = gen::kernel(KernelShape::new(10, 6, 1), 0.2, &mut gen::rng(12));
-        let pw = Layer {
-            name: "pw".into(),
-            kind: LayerKind::Pointwise {
-                out_c: 10,
-                relu: true,
-            },
-            input: shape,
-            requant_shift: 6,
-        };
-        let dense = Layer {
-            name: "conv".into(),
-            kind: LayerKind::Conv {
-                out_c: 10,
-                k: 1,
-                stride: 1,
-                pad: 0,
-                relu: true,
-                groups: 1,
-            },
-            input: shape,
-            requant_shift: 6,
-        };
-        assert_eq!(pointwise(&pw, &input, &k), conv(&dense, &input, &k));
-    }
-
-    #[test]
     fn grouped_conv_matches_per_group_dense_convs() {
         // groups=2 over 4→6 channels: each group is a dense 2→3 conv over
         // its channel slice; results must match slice-wise.
@@ -701,6 +688,105 @@ mod tests {
                     "group {g} channel {c}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn im2col_dimensions_and_padding() {
+        let input = gen::activations(TensorShape::new(2, 4, 4), 0.0, &mut gen::rng(1));
+        let m = patch_matrix(&input, (3, 1, 1), 1, (4, 4));
+        assert_eq!(m.len(), 16 * 2 * 9);
+        // First patch (output (0,0)) starts at padded (-1,-1): its first
+        // row of taps for channel 0 is padding.
+        assert_eq!(&m[0..3], &[0, 0, 0]);
+        // Centre tap of patch (0,0), channel 0 = input (0,0).
+        assert_eq!(m[4], input.get(0, 0, 0));
+        // Two groups split each row's channels into two matrices: group 1's
+        // first patch holds channel 1's taps.
+        let grouped = patch_matrix(&input, (3, 1, 1), 2, (4, 4));
+        assert_eq!(grouped.len(), m.len());
+        assert_eq!(grouped[16 * 9 + 4], input.get(1, 0, 0));
+    }
+
+    #[test]
+    fn fixed_shapes_match_scalar_oracle() {
+        for (in_c, h, w, out_c, k, stride, pad) in [
+            (3usize, 16usize, 16usize, 8usize, 3usize, 1usize, 1usize),
+            (1, 12, 12, 4, 5, 2, 0),
+            (4, 9, 7, 6, 3, 2, 2),
+            (2, 8, 8, 2, 1, 1, 0),
+        ] {
+            let layer = Layer {
+                requant_shift: 7,
+                ..conv_layer(TensorShape::new(in_c, h, w), out_c, k, stride, pad, true)
+            };
+            let mut rng = gen::rng(9);
+            let input = gen::activations(layer.input, 0.4, &mut rng);
+            let kernel = gen::kernel(layer.kernel_shape().unwrap(), 0.3, &mut rng);
+            assert_eq!(
+                conv(&layer, &input, &kernel),
+                conv_scalar(&layer, &input, &kernel),
+                "k{k}s{stride}p{pad}"
+            );
+        }
+    }
+
+    /// The per-tap oracle for any weighted spatial layer: a pointwise
+    /// layer is checked as the 1×1 conv it is.
+    fn scalar_layer(l: &Layer, input: &Tensor<i8>, kernel: &Kernel) -> Option<Tensor<i8>> {
+        match l.kind {
+            LayerKind::Conv { .. } => Some(conv_scalar(l, input, kernel)),
+            LayerKind::DwConv { .. } => Some(dwconv_scalar(l, input, kernel)),
+            LayerKind::Pointwise { out_c, relu } => {
+                let dense = Layer {
+                    kind: LayerKind::Conv {
+                        out_c,
+                        k: 1,
+                        stride: 1,
+                        pad: 0,
+                        relu,
+                        groups: 1,
+                    },
+                    ..l.clone()
+                };
+                Some(conv_scalar(&dense, input, kernel))
+            }
+            LayerKind::Pool { .. } | LayerKind::Fc { .. } => None,
+        }
+    }
+
+    /// Checks every conv, depthwise and pointwise layer of `w` against
+    /// its per-tap oracle, each on the golden output of the layer before.
+    fn assert_network_matches_scalar(w: &Workload) {
+        let outs = forward(w);
+        for (i, l) in w.network.layers().iter().enumerate() {
+            let input = if i == 0 { &w.input } else { &outs[i - 1] };
+            let Some(kernel) = w.kernels[i].as_ref() else {
+                continue;
+            };
+            if let Some(scalar) = scalar_layer(l, input, kernel) {
+                assert_eq!(outs[i], scalar, "{}: layer {}", w.network.name, l.name);
+            }
+        }
+    }
+
+    #[test]
+    fn tiny_network_matches_scalar_oracle() {
+        assert_network_matches_scalar(&Workload::generate(
+            network::tiny(),
+            SparsityProfile::NOMINAL,
+            33,
+        ));
+    }
+
+    /// The benchmark networks' real shapes, among them AlexNet's k = 11 at
+    /// stride 4 and k = 5 with pad 2. Slow in debug builds; run with
+    /// `cargo test --release -p mocha-model -- --ignored`.
+    #[test]
+    #[ignore]
+    fn zoo_layers_match_scalar_oracles() {
+        for net in [network::alexnet(), network::mobilenet()] {
+            assert_network_matches_scalar(&Workload::generate(net, SparsityProfile::NOMINAL, 5));
         }
     }
 

@@ -5,7 +5,9 @@
 //! sweeps), dense tensors in the fabric's native i8/i32 fixed-point format,
 //! seeded sparsity-controlled generators replacing proprietary trained
 //! weights, and a bit-exact golden reference executor that every simulated
-//! dataflow is verified against.
+//! dataflow is verified against. The golden model lowers every conv,
+//! depthwise and pointwise layer to a patch matrix, one row per output
+//! pixel, and reduces each output as one dot product with its filter.
 //!
 //! ```
 //! use mocha_model::{gen::{SparsityProfile, Workload}, golden, network};
@@ -19,7 +21,6 @@
 
 pub mod accounting;
 pub mod elastic;
-pub mod gemm;
 pub mod gen;
 pub mod golden;
 pub mod layer;
