@@ -32,6 +32,12 @@ echo "== golden oracle on the benchmark networks' real shapes (release, ignored 
 # the per-tap scalar oracles; too slow for the debug test run above.
 cargo test --release -q -p mocha-model -- --ignored
 
+echo "== tile kernel on the benchmark networks' real shapes (release, ignored in debug)"
+# Every conv, depthwise and pointwise layer of AlexNet and MobileNet: the
+# whole layer, an 8x8 interior tile and the bottom-right edge tile, from
+# the whole input and from a clipped region buffer, against golden::layer.
+cargo test --release -q -p mocha-core -- --ignored
+
 echo "== benchmark tests (the perf package is its own workspace)"
 cargo test -q --manifest-path crates/bench/src/bin/perf/Cargo.toml
 

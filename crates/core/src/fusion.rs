@@ -8,10 +8,16 @@
 //! region is back-propagated through the group ([`back_regions`]), the group
 //! input window is fetched once, and every member layer computes its region
 //! on-chip ([`cascade`]) with [`compute_region`], the simulator's one tile
-//! kernel, which also computes every singleton layer's tiles. Overlapping halos between adjacent tiles are
-//! **recomputed** — the classic fused-layer trade: DRAM traffic down, MACs
-//! up, on-chip buffering up. Whether that trade wins is exactly what the
-//! morphing controller evaluates per layer (experiment F7).
+//! kernel, which also computes every singleton layer's tiles. Overlapping
+//! halos between adjacent tiles are **recomputed** — the classic fused-layer
+//! trade: DRAM traffic down, MACs up, on-chip buffering up. Whether that
+//! trade wins is exactly what the morphing controller evaluates per layer
+//! (experiment F7).
+//!
+//! Conv, depthwise and pointwise tiles reduce over stride phase planes of
+//! the tile's input window, in register-blocked runs of outputs: each
+//! weight is broadcast over one long contiguous run, the software form of a
+//! weight-stationary 1-D row dataflow.
 //!
 //! Intermediate regions stay *raw* in the scratchpad (encoding between fused
 //! layers would cost codec energy for no wire savings); the group input is
@@ -26,7 +32,6 @@ use mocha_fabric::{CapacityError, FabricConfig};
 use mocha_model::layer::{Layer, LayerKind, PoolKind};
 use mocha_model::tensor::{requantize, Kernel, Tensor};
 use mocha_model::TensorShape;
-use std::ops::Range;
 
 /// Maximum number of layers a group may contain. Deeper cascades explode
 /// halo recomputation and buffering without additional DRAM savings on the
@@ -204,97 +209,96 @@ impl<'a> Input<'a> {
     }
 }
 
-/// For kernel column `t` of a window sliding by `stride` over an input
-/// `extent` wide padded by `pad`, the outputs among `[o0, o0 + on)` whose
-/// tap `t` lies inside the input (tile-local) and the input column the
-/// first of them reads. Output `o` reads column `o·stride + t − pad`.
-fn tap_outputs(
-    t: usize,
-    (stride, pad, extent): (usize, usize, usize),
-    o0: usize,
-    on: usize,
-) -> (Range<usize>, usize) {
-    let first = pad.saturating_sub(t).div_ceil(stride).max(o0);
-    let end = (extent + pad)
-        .saturating_sub(t)
-        .div_ceil(stride)
-        .min(o0 + on)
-        .max(first);
-    (
-        first - o0..end - o0,
-        (first * stride + t).saturating_sub(pad),
-    )
-}
-
-/// `acc[i] += w · src[i · stride]` for every `i` of `acc`.
-#[inline]
-fn axpy(acc: &mut [i32], src: &[i8], w: i8, stride: usize) {
-    debug_assert!(acc.is_empty() || src.len() > (acc.len() - 1) * stride);
-    let w = w as i32;
-    if stride == 1 {
-        for (a, &v) in acc.iter_mut().zip(src) {
-            *a += w * v as i32;
-        }
-    } else {
-        for (a, &v) in acc.iter_mut().zip(src.iter().step_by(stride)) {
-            *a += w * v as i32;
-        }
-    }
-}
+/// Outputs per register-blocked run of [`window_reduce`].
+const CH: usize = 16;
 
 /// The sliding-window reduction of conv (every output channel reduces
 /// every input channel), depthwise (`per_channel`: output channel `c`
 /// reduces input channel `c` alone) and pointwise (a 1×1 conv) layers.
 ///
-/// Each output row accumulates in `i32` over only the in-bounds taps: per
-/// input row in the window, every nonzero weight adds its tap's run of
-/// input columns — one contiguous slice of the row the tile reads — to the
-/// outputs that tap reaches. No tap pays a padding check, and integer sums
-/// make the order irrelevant, so the bytes equal the golden model's.
+/// The tile's clipped input window is first split by the stride into
+/// zero-filled phase planes, `min(s, k)²` per input channel, each row
+/// `wq = xn + ⌈k/s⌉ − 1` wide: padded window row `ly`, column `lx` lands
+/// in plane `(ly mod s, lx mod s)` at `(ly / s, lx / s)`. Padding exists
+/// only as those zeros. Every output row then shares one flat index space
+/// of pitch `wq`, and tap `(ky, kx)` is one contiguous run of its plane
+/// from offset `(ky / s)·wq + kx / s`. Each output channel lists its
+/// nonzero taps as `(weight, offset)` pairs, and each run of [`CH`]
+/// outputs sums every tap in registers, the `i8·i8` product taken in `i16`
+/// (where it always fits). Integer sums make the order irrelevant, so the
+/// bytes equal the golden model's; the `wq − xn` extra columns of each row
+/// are dropped at requantization.
 fn window_reduce(
     layer: &Layer,
     input: Input<'_>,
     kernel: &Kernel,
-    (k, stride, pad): (usize, usize, usize),
+    (k, s, pad): (usize, usize, usize),
     per_channel: bool,
     buf: &mut RegionBuf,
 ) {
     let (shift, relu) = (layer.requant_shift, layer.has_relu());
     let r = buf.region;
     let full = input.full;
-    // The clipped input columns the tile reads; none means every window
+    // The clipped input window the tile reads; none means every window
     // lies in padding and every output is requantize(0) = 0, as zeroed.
-    let (x_lo, x_len) = input_extent(r.x0, r.xn, k, stride, pad, full.w);
-    if x_len == 0 {
+    let (y_lo, y_len) = input_extent(r.y0, r.yn, k, s, pad, full.h);
+    let (x_lo, x_len) = input_extent(r.x0, r.xn, k, s, pad, full.w);
+    if y_len == 0 || x_len == 0 {
         return;
     }
-    // Per kernel column: the outputs it reaches and its offset in the row.
-    let spans: Vec<(usize, Range<usize>, usize)> = (0..k)
-        .map(|t| (t, tap_outputs(t, (stride, pad, full.w), r.x0, r.xn)))
-        .filter(|(_, (outs, _))| !outs.is_empty())
-        .map(|(t, (outs, ix))| (t, outs, ix - x_lo))
-        .collect();
-    let mut acc = vec![0i32; r.xn];
-    for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
-        let filter = kernel.filter(c);
-        let channels = if per_channel { c..c + 1 } else { 0..full.c };
-        for (yi, oy) in (r.y0..r.y0 + r.yn).enumerate() {
-            acc.fill(0);
-            let (iy0, iyn) = input_extent(oy, 1, k, stride, pad, full.h);
-            let ky0 = iy0 + pad - oy * stride;
-            for (fc, ic) in channels.clone().enumerate() {
-                for (ky, iy) in (ky0..).zip(iy0..iy0 + iyn) {
-                    let row = input.row(ic, iy, x_lo, x_len);
-                    let taps = &filter[(fc * k + ky) * k..][..k];
-                    for (t, outs, off) in &spans {
-                        if taps[*t] != 0 {
-                            axpy(&mut acc[outs.clone()], &row[*off..], taps[*t], stride);
-                        }
-                    }
+    // Phases at or past `k` hold no tap. `n` flat outputs make whole runs,
+    // and each plane reaches the farthest tap of the last run.
+    let (p, kq) = (s.min(k), k.div_ceil(s));
+    let wq = r.xn + kq - 1;
+    let n = (r.yn * wq).next_multiple_of(CH);
+    let plane = n + (kq - 1) * (wq + 1);
+    let channels = if per_channel {
+        r.c0..r.c0 + r.cn
+    } else {
+        0..full.c
+    };
+    let mut planes = vec![0i8; channels.len() * p * p * plane];
+    // The padded-window coordinates of the first clipped input byte.
+    let (ly0, lx0) = (y_lo + pad - r.y0 * s, x_lo + pad - r.x0 * s);
+    for (pc, ic) in channels.enumerate() {
+        for (ly, iy) in (ly0..).zip(y_lo..y_lo + y_len).filter(|(ly, _)| ly % s < p) {
+            let row = input.row(ic, iy, x_lo, x_len);
+            let dst = &mut planes[(pc * p + ly % s) * p * plane + ly / s * wq..];
+            if s == 1 {
+                dst[lx0..][..x_len].copy_from_slice(row);
+            } else {
+                for (lx, &v) in (lx0..).zip(row).filter(|(lx, _)| lx % s < p) {
+                    dst[lx % s * plane + lx / s] = v;
                 }
             }
-            let out_row = &mut buf.data[(ci * r.yn + yi) * r.xn..][..r.xn];
-            for (o, &a) in out_row.iter_mut().zip(&acc) {
+        }
+    }
+    let mut taps: Vec<(i16, usize)> = Vec::new();
+    let mut sums = vec![0i32; n];
+    for (ci, c) in (r.c0..r.c0 + r.cn).enumerate() {
+        let filter = kernel.filter(c);
+        let first = if per_channel { ci } else { 0 };
+        taps.clear();
+        for (tap, &w) in filter.iter().enumerate().filter(|(_, &w)| w != 0) {
+            let (pc, ky, kx) = (first + tap / (k * k), tap / k % k, tap % k);
+            let phase = (pc * p + ky % s) * p + kx % s;
+            taps.push((w as i16, phase * plane + ky / s * wq + kx / s));
+        }
+        for (j, run) in sums.chunks_exact_mut(CH).enumerate() {
+            let mut acc = [0i32; CH];
+            for &(w, off) in &taps {
+                let src: &[i8; CH] = planes[off + j * CH..][..CH]
+                    .try_into()
+                    .expect("a run is CH outputs long");
+                for (a, &v) in acc.iter_mut().zip(src) {
+                    *a += (w * v as i16) as i32;
+                }
+            }
+            run.copy_from_slice(&acc);
+        }
+        let out = buf.data[ci * r.yn * r.xn..][..r.yn * r.xn].chunks_exact_mut(r.xn);
+        for (out_row, row) in out.zip(sums.chunks(wq)) {
+            for (o, &a) in out_row.iter_mut().zip(row) {
                 *o = requantize(a, shift, relu);
             }
         }
@@ -675,9 +679,67 @@ mod tests {
         }
     }
 
+    /// The whole output of `layer`.
+    fn whole(layer: &Layer) -> Region {
+        let out = layer.output();
+        Region {
+            c0: 0,
+            cn: out.c,
+            y0: 0,
+            yn: out.h,
+            x0: 0,
+            xn: out.w,
+        }
+    }
+
+    /// [`compute_region`] on `r` equals `want`, the golden output, read
+    /// from the whole input tensor and, for a layer that fuses, from a
+    /// region buffer that holds just the region's clipped input window, as
+    /// a fused producer leaves it on-chip.
+    fn assert_region_matches(
+        layer: &Layer,
+        input: &Tensor<i8>,
+        kernel: Option<&Kernel>,
+        want: &Tensor<i8>,
+        r: Region,
+    ) {
+        let expect: Vec<i8> = (r.c0..r.c0 + r.cn)
+            .flat_map(|c| (r.y0..r.y0 + r.yn).map(move |y| (c, y)))
+            .flat_map(|(c, y)| (r.x0..r.x0 + r.xn).map(move |x| (c, y, x)))
+            .map(|(c, y, x)| want.get(c, y, x))
+            .collect();
+        let full = compute_region(layer, Input::full(input), kernel, r);
+        assert_eq!(
+            full.data(),
+            expect,
+            "{} {r:?} from the whole input",
+            layer.name
+        );
+        if matches!(layer.kind, LayerKind::Fc { .. }) {
+            return; // fc never fuses, so it never reads a region
+        }
+        let win = match layer.kind {
+            LayerKind::Conv { .. } | LayerKind::Pointwise { .. } => Region {
+                c0: 0,
+                cn: layer.input.c,
+                ..input_window(layer, &r, 0, layer.input.c)
+            },
+            _ => input_window(layer, &r, r.c0, r.cn),
+        };
+        let data = (win.c0..win.c0 + win.cn)
+            .flat_map(|c| (win.y0..win.y0 + win.yn).map(move |y| (c, y)))
+            .flat_map(|(c, y)| {
+                input.channel(c)[y * layer.input.w..][win.x0..win.x0 + win.xn].to_vec()
+            })
+            .collect();
+        let held = RegionBuf::from_vec(win, layer.input, data);
+        let part = compute_region(layer, Input::partial(&held), kernel, r);
+        assert_eq!(part.data(), expect, "{} {r:?} from {win:?}", layer.name);
+    }
+
     /// The one tile kernel equals the golden model on random output regions
-    /// of every layer kind, reading either the whole input tensor or a
-    /// region buffer that holds just the region's clipped input window.
+    /// of every layer kind, and on a 1-wide column, a 1-tall row and the
+    /// bottom-right output of each.
     #[test]
     fn compute_region_matches_golden_on_random_regions() {
         use mocha_model::{gen, PoolKind};
@@ -739,24 +801,36 @@ mod tests {
                 pool(PoolKind::Avg, 2, 2),
                 TensorShape::new(3, 8, 8),
             ),
+            test_layer(
+                "conv k7 s2 p3",
+                conv(6, 7, 2, 3),
+                TensorShape::new(3, 23, 21),
+            ),
+            // the stride skips input rows and columns no tap reads
+            test_layer("conv k1 s2", conv(7, 1, 2, 0), TensorShape::new(5, 12, 13)),
+            test_layer("dw k5 s2 p2", dw(5, 2, 2), TensorShape::new(6, 17, 15)),
+            // output rows several register-blocked runs wide; filter 1 is
+            // all zeros, so it has no tap at all
+            test_layer(
+                "conv k3 p1 wide",
+                conv(4, 3, 1, 1),
+                TensorShape::new(3, 5, 53),
+            ),
         ];
         let mut rng = gen::rng(0x7113);
         for layer in &layers {
             let input = gen::activations(layer.input, 0.3, &mut rng);
-            let kernel = layer
+            let mut kernel = layer
                 .kernel_shape()
                 .map(|ks| gen::kernel(ks, 0.2, &mut rng));
+            if let Some(k) = kernel.as_mut().filter(|_| layer.name.ends_with("wide")) {
+                let fv = k.shape().filter_volume();
+                k.data_mut()[fv..2 * fv].fill(0);
+            }
             let want = golden::layer(layer, &input, kernel.as_ref());
             let out = layer.output();
-            let whole = Region {
-                c0: 0,
-                cn: out.c,
-                y0: 0,
-                yn: out.h,
-                x0: 0,
-                xn: out.w,
-            };
-            let mut regions = vec![whole];
+            let all = whole(layer);
+            let mut regions = vec![all];
             for _ in 0..40 {
                 let c0 = rng.gen_range(0..out.c);
                 let y0 = rng.gen_range(0..out.h);
@@ -770,41 +844,72 @@ mod tests {
                     xn: rng.gen_range(1..=out.w - x0),
                 });
             }
+            // Fixed, not drawn, so the generator's stream (every later
+            // layer's data and regions) does not depend on them.
+            let column = Region {
+                x0: out.w / 2,
+                xn: 1,
+                ..all
+            };
+            let row = Region {
+                y0: out.h / 2,
+                yn: 1,
+                ..all
+            };
+            let corner = Region {
+                y0: out.h - 1,
+                yn: 1,
+                x0: out.w - 1,
+                xn: 1,
+                ..all
+            };
+            regions.extend([column, row, corner]);
             for r in regions {
-                let expect: Vec<i8> = (r.c0..r.c0 + r.cn)
-                    .flat_map(|c| (r.y0..r.y0 + r.yn).map(move |y| (c, y)))
-                    .flat_map(|(c, y)| (r.x0..r.x0 + r.xn).map(move |x| (c, y, x)))
-                    .map(|(c, y, x)| want.get(c, y, x))
-                    .collect();
-                let full = compute_region(layer, Input::full(&input), kernel.as_ref(), r);
-                assert_eq!(
-                    full.data(),
-                    expect,
-                    "{} {r:?} from the whole input",
-                    layer.name
-                );
-                if matches!(layer.kind, LayerKind::Fc { .. }) {
-                    continue; // fc never fuses, so it never reads a region
+                assert_region_matches(layer, &input, kernel.as_ref(), &want, r);
+            }
+        }
+    }
+
+    /// The tile kernel on every conv, depthwise and pointwise layer of the
+    /// benchmark networks: the whole layer, an 8×8 interior tile and the
+    /// bottom-right tile of an 8×8 tiling. Too slow for a debug build; run
+    /// with `cargo test --release -p mocha-core -- --ignored`.
+    #[test]
+    #[ignore]
+    fn compute_region_matches_golden_on_benchmark_layers() {
+        for net in [network::alexnet(), network::mobilenet()] {
+            let w = Workload::generate(net, SparsityProfile::NOMINAL, 42);
+            let outs = golden::forward(&w);
+            for (i, layer) in w.network.layers().iter().enumerate() {
+                if !matches!(
+                    layer.kind,
+                    LayerKind::Conv { .. } | LayerKind::DwConv { .. } | LayerKind::Pointwise { .. }
+                ) {
+                    continue;
                 }
-                // The clipped window the region reads, as a fused producer
-                // leaves it on-chip.
-                let win = match layer.kind {
-                    LayerKind::Conv { .. } | LayerKind::Pointwise { .. } => Region {
-                        c0: 0,
-                        cn: layer.input.c,
-                        ..input_window(layer, &r, 0, layer.input.c)
-                    },
-                    _ => input_window(layer, &r, r.c0, r.cn),
+                let input = if i == 0 { &w.input } else { &outs[i - 1] };
+                let all = whole(layer);
+                let interior = |n: usize| (n.saturating_sub(8) / 2, n.min(8));
+                let edge = |n: usize| ((n - 1) / 8 * 8, n - (n - 1) / 8 * 8);
+                let ((y0, yn), (x0, xn)) = (interior(all.yn), interior(all.xn));
+                let tile = Region {
+                    y0,
+                    yn,
+                    x0,
+                    xn,
+                    ..all
                 };
-                let data = (win.c0..win.c0 + win.cn)
-                    .flat_map(|c| (win.y0..win.y0 + win.yn).map(move |y| (c, y)))
-                    .flat_map(|(c, y)| {
-                        input.channel(c)[y * layer.input.w..][win.x0..win.x0 + win.xn].to_vec()
-                    })
-                    .collect();
-                let held = RegionBuf::from_vec(win, layer.input, data);
-                let part = compute_region(layer, Input::partial(&held), kernel.as_ref(), r);
-                assert_eq!(part.data(), expect, "{} {r:?} from {win:?}", layer.name);
+                let ((y0, yn), (x0, xn)) = (edge(all.yn), edge(all.xn));
+                let corner = Region {
+                    y0,
+                    yn,
+                    x0,
+                    xn,
+                    ..all
+                };
+                for r in [all, tile, corner] {
+                    assert_region_matches(layer, input, w.kernels[i].as_ref(), &outs[i], r);
+                }
             }
         }
     }

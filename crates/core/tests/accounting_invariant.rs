@@ -4,6 +4,8 @@
 //! * Planned MACs, issued plus bitmask-skipped, equal the layer's MACs.
 //! * Without compression, no plan or execution reads fewer DRAM bytes than
 //!   the unique-touched floor (each in-bounds input once, plus the weights).
+//! * Every execution's output equals the golden model's, so the tile
+//!   kernel is checked over the controller's real tilings.
 //!
 //! Every candidate is planned on `tiny`, `lenet5`, `mobilenet` and
 //! `alexnet`, and on the first three a stride of the uncompressed ones is
@@ -106,6 +108,12 @@ fn singleton_walks_respect_the_accounting_floor() {
                             layer.name, run.events.dram_read_bytes, floor.dram_read_bytes
                         ));
                     }
+                    if run.output != golden_outs[i] {
+                        violations.push(format!(
+                            "{} {morph}: executed output differs from the golden model",
+                            layer.name
+                        ));
+                    }
                 }
             }
         }
@@ -113,7 +121,7 @@ fn singleton_walks_respect_the_accounting_floor() {
     assert!(plans > 10_000 && execs > 50, "{plans} plans, {execs} execs");
     assert!(
         violations.is_empty(),
-        "{} of {plans} plans and {execs} executions break the accounting floor, e.g.\n{}",
+        "{} of {plans} plans and {execs} executions break the invariant, e.g.\n{}",
         violations.len(),
         violations[..violations.len().min(10)].join("\n")
     );

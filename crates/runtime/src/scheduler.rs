@@ -1167,3 +1167,76 @@ fn fnv1a(data: &[i8]) -> u64 {
     }
     h
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::workload::{generate, Mix, TrafficConfig};
+    use mocha_obs::MemRecorder;
+
+    /// A permanent fault that lands exactly on a ready resident's group
+    /// boundary finds its group committed: quarantine evicts the job back
+    /// to the queue for free, with no group to redo. A seeded fault
+    /// timeline almost never hits that cycle, so the fault is built by
+    /// hand at the first such instant.
+    #[test]
+    fn quarantine_at_a_group_boundary_evicts_without_redo() {
+        let cfg = RuntimeConfig {
+            faults: Some(FaultPlan::default()),
+            ..RuntimeConfig::default()
+        };
+        let subs = generate(&TrafficConfig {
+            jobs: 4,
+            load: 2.0,
+            seed: 42,
+            mix: Mix::Quick,
+        });
+        let mut rec = MemRecorder::new();
+        let mut s = Scheduler::new(&cfg, &subs, None, &mut rec);
+        // The phases of `run`, until the clock stops on a boundary where a
+        // resident with groups left waits to step.
+        let (id, lease) = loop {
+            s.manifest_faults();
+            s.arrive();
+            s.detect_latent_damage();
+            s.retire();
+            let candidates = s.plan_and_release();
+            s.admit(candidates);
+            s.step();
+            s.check();
+            assert!(s.advance(), "the run ended before a ready resident");
+            let now = s.now;
+            let ready = s
+                .resident
+                .iter()
+                .find(|r| r.boundary == now && !r.session.done());
+            if let Some(r) = ready {
+                break (r.id, r.lease);
+            }
+        };
+        let evictions = s.rec.counter(names::FAULT_EVICTIONS);
+        let (queued, resident) = (s.queue.len(), s.resident.len());
+        s.manifest(FaultEvent {
+            at: s.now,
+            kind: FaultKind::PeRect {
+                row0: lease.pe_row0,
+                rows: lease.pe_rows,
+                col0: lease.pe_col0,
+                cols: 1,
+            },
+            permanent: true,
+        });
+        s.check();
+        assert_eq!(s.rec.counter(names::FAULT_EVICTIONS), evictions + 1);
+        assert_eq!(s.rec.counter(names::FAULT_QUARANTINED), 1);
+        assert_eq!(
+            (s.queue.len(), s.resident.len()),
+            (queued + 1, resident - 1)
+        );
+        assert!(s.resident.iter().all(|r| r.id != id));
+        let back = s.queue.last().expect("the evicted job is queued");
+        assert_eq!(back.id, id);
+        let resume = back.resume.as_ref().expect("an evicted job resumes");
+        assert_eq!(resume.redo, None, "a committed group is not redone");
+    }
+}
