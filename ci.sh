@@ -36,7 +36,15 @@ echo "== tile kernel on the benchmark networks' real shapes (release, ignored in
 # Every conv, depthwise and pointwise layer of AlexNet and MobileNet: the
 # whole layer, an 8x8 interior tile and the bottom-right edge tile, from
 # the whole input and from a clipped region buffer, against golden::layer.
-cargo test --release -q -p mocha-core -- --ignored
+cargo test --release -q -p mocha-core --lib fusion:: -- --ignored
+
+echo "== planning walks on the benchmark networks (release, ignored in debug)"
+# Every AlexNet and VGG-16 MOCHA candidate, singletons and fused groups, on
+# both presets: the walk with slab runs and tile classes against the
+# tile-by-tile walk, bit for bit. Then every VGG-16 singleton candidate of
+# every policy against model::accounting's MAC count and DRAM floor.
+cargo test --release -q -p mocha-core --lib tile_classes -- --ignored
+cargo test --release -q -p mocha-core --test accounting_invariant -- --ignored
 
 echo "== benchmark tests (the perf package is its own workspace)"
 cargo test -q --manifest-path crates/bench/src/bin/perf/Cargo.toml

@@ -279,31 +279,35 @@ fn plan_for(
     }
 }
 
+/// What every group search of one decision shares.
+struct Search<'a, 'c> {
+    ctx: &'a PlanContext<'c>,
+    policy: Policy,
+    objective: Objective,
+    store_output: bool,
+}
+
 /// Searches the best (config, plan) for a group of the first `len` layers,
 /// consulting the morph-decision cache shard first. Returns `None` when no
 /// candidate fits the fabric — which is itself a memoizable result.
-#[allow(clippy::too_many_arguments)]
 fn search_group(
-    ctx: &PlanContext<'_>,
-    policy: Policy,
+    search: &Search<'_, '_>,
     layers: &[Layer],
     len: usize,
     est: &SparsityEstimate,
-    objective: Objective,
-    store_output: bool,
     shard: &mut DecisionShard<'_>,
 ) -> Option<(MorphConfig, LayerPlan, usize)> {
     if !shard.enabled() {
-        return search_group_fresh(ctx, policy, layers, len, est, objective, store_output);
+        return search_group_fresh(search, layers, len, est);
     }
     let key = DecisionKey::group(
-        ctx.fabric,
-        policy,
-        objective,
+        search.ctx.fabric,
+        search.policy,
+        search.objective,
         layers,
         len,
         est,
-        store_output,
+        search.store_output,
     );
     let bits = est_bits(est);
     match shard.get(&key, &bits) {
@@ -311,28 +315,26 @@ fn search_group(
         Some(CachedValue::Decide(_)) => unreachable!("Group key resolved to a Decide value"),
         None => {}
     }
-    let g = search_group_fresh(ctx, policy, layers, len, est, objective, store_output);
+    let g = search_group_fresh(search, layers, len, est);
     shard.insert(key, bits, CachedValue::Group(g));
     g
 }
 
 /// The uncached group search.
-#[allow(clippy::too_many_arguments)]
 fn search_group_fresh(
-    ctx: &PlanContext<'_>,
-    policy: Policy,
+    search: &Search<'_, '_>,
     layers: &[Layer],
     len: usize,
     est: &SparsityEstimate,
-    objective: Objective,
-    store_output: bool,
 ) -> Option<(MorphConfig, LayerPlan, usize)> {
-    let cands = candidate_configs(policy, &layers[len - 1], len > 1, ctx.fabric.has_codecs());
-    let searches = matches!(
+    let Search {
+        ctx,
         policy,
-        Policy::Mocha { .. } | Policy::MochaNoCompression { .. }
-    ) || matches!(policy, Policy::TilingOnly | Policy::ParallelismOnly);
-    if !searches {
+        objective,
+        store_output,
+    } = *search;
+    let cands = candidate_configs(policy, &layers[len - 1], len > 1, ctx.fabric.has_codecs());
+    if policy == Policy::FusionOnly {
         // Fixed-function: first feasible rung of the ladder.
         for (i, morph) in cands.iter().enumerate() {
             if let Ok(plan) = plan_for(ctx, layers, len, morph, est, store_output) {
@@ -506,8 +508,14 @@ pub fn decide_cached(
         Policy::Mocha { objective } | Policy::MochaNoCompression { objective } => objective,
         _ => Objective::Edp,
     };
+    let search = Search {
+        ctx,
+        policy,
+        objective,
+        store_output,
+    };
     if !shard.enabled() {
-        return decide_searched(ctx, policy, layers, est, objective, store_output, shard);
+        return decide_searched(&search, layers, est, shard);
     }
     let key = DecisionKey::decide(ctx.fabric, policy, objective, layers, est, store_output);
     let bits = est_bits(est);
@@ -516,23 +524,20 @@ pub fn decide_cached(
         Some(CachedValue::Group(_)) => unreachable!("Decide key resolved to a Group value"),
         None => {}
     }
-    let d = decide_searched(ctx, policy, layers, est, objective, store_output, shard);
+    let d = decide_searched(&search, layers, est, shard);
     shard.insert(key, bits, CachedValue::Decide(d.clone()));
     d
 }
 
 /// The fusion-depth search behind [`decide`], group-level memoization
 /// included.
-#[allow(clippy::too_many_arguments)]
 fn decide_searched(
-    ctx: &PlanContext<'_>,
-    policy: Policy,
+    search: &Search<'_, '_>,
     layers: &[Layer],
     est: &SparsityEstimate,
-    objective: Objective,
-    store_output: bool,
     shard: &mut DecisionShard<'_>,
 ) -> Decision {
+    let (policy, objective) = (search.policy, search.objective);
     let fusion_allowed = matches!(
         policy,
         Policy::Mocha { .. } | Policy::MochaNoCompression { .. } | Policy::FusionOnly
@@ -545,9 +550,7 @@ fn decide_searched(
         // make deep groups infeasible at any tile size, since fused groups
         // pin member kernels whole.
         for d in (1..=deepest).rev() {
-            if let Some((morph, plan, candidates)) =
-                search_group(ctx, policy, layers, d, est, objective, store_output, shard)
-            {
+            if let Some((morph, plan, candidates)) = search_group(search, layers, d, est, shard) {
                 return Decision {
                     group_len: d,
                     morph,
@@ -567,16 +570,7 @@ fn decide_searched(
     let mut total_candidates = 0usize;
     for d in 1..=deepest {
         // Extend the singleton chain by layer d-1.
-        let single = search_group(
-            ctx,
-            policy,
-            &layers[d - 1..],
-            1,
-            &chain_est,
-            objective,
-            store_output,
-            shard,
-        );
+        let single = search_group(search, &layers[d - 1..], 1, &chain_est, shard);
         if let Some((m, p, c)) = &single {
             total_candidates += c;
             singleton_chain_score = if d == 1 {
@@ -593,9 +587,7 @@ fn decide_searched(
         chain_est = propagate_estimate(&layers[d - 1], &chain_est);
 
         if d > 1 {
-            if let Some((m, p, c)) =
-                search_group(ctx, policy, layers, d, est, objective, store_output, shard)
-            {
+            if let Some((m, p, c)) = search_group(search, layers, d, est, shard) {
                 total_candidates += c;
                 let s = score(&p, objective);
                 if s < singleton_chain_score && best.as_ref().map(|b| s < b.4).unwrap_or(true) {

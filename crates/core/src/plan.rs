@@ -210,12 +210,15 @@ pub fn plan_group(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::{candidate_configs, Policy};
     use crate::exec::{default_morph, execute_layer, ExecContext};
-    use crate::morph::{CompressionChoice, LoopOrder, Parallelism, Tiling};
-    use crate::tiling::reduction_depth;
+    use crate::fusion::{back_regions, can_extend, MAX_GROUP_DEPTH};
+    use crate::morph::{CompressionChoice, LoopOrder, Objective, Parallelism, Tiling};
+    use crate::tiling::{input_window, reduction_depth, tiles};
     use mocha_fabric::Buffering;
     use mocha_model::gen::{SparsityProfile, Workload};
-    use mocha_model::network;
+    use mocha_model::layer::LayerKind;
+    use mocha_model::network::{self, Network};
 
     fn contexts() -> (FabricConfig, CodecCostTable, EnergyTable) {
         (
@@ -357,11 +360,12 @@ mod tests {
         }
     }
 
-    /// [`Estimated`] with its sizes declared content-dependent, so the walk
-    /// prices one reduction slab at a time: the oracle for slab runs.
-    struct SlabBySlab<'a>(Estimated<'a>);
+    /// [`Estimated`] with its sizes declared content-dependent, so the walks
+    /// price every slab and every tile on its own, with neither slab runs
+    /// nor tile classes: the oracle for both.
+    struct TileByTile<'a>(Estimated<'a>);
 
-    impl StreamSource for SlabBySlab<'_> {
+    impl StreamSource for TileByTile<'_> {
         const SIZED_BY_LENGTH: bool = false;
 
         fn scratchpad(&self, fabric: &FabricConfig, morph: &MorphConfig) -> Scratchpad {
@@ -405,73 +409,180 @@ mod tests {
         }
     }
 
-    /// Pricing each run of equal-width slabs once walks to the same totals,
-    /// bit for bit, as pricing every slab: under both loop orders, with and
-    /// without codecs, on layers whose depth leaves a remainder slab at
-    /// `tile_ic` 64 (lenet5 fc4: 120 = 64 + 56; alexnet conv2: 96 = 64 + 32)
-    /// and on layers it divides (alexnet conv3: 4 slabs; fc6: 144).
-    #[test]
-    fn slab_runs_walk_bit_identical_to_single_slabs() {
-        let (fabric, costs, _) = contexts();
-        let ctx = ExecContext {
-            fabric: &fabric,
-            codec_costs: &costs,
+    const EST: SparsityEstimate = SparsityEstimate {
+        ifmap_sparsity: 0.6,
+        ifmap_mean_run: 3.0,
+        kernel_sparsity: 0.3,
+        ofmap_sparsity: 0.5,
+        ofmap_mean_run: 2.0,
+    };
+
+    /// The walk's `priced_pj`, summed here tile by tile in walk order, apart
+    /// from the walk's own float path: per tile, a weighted layer adds its
+    /// feed decode (ifmap plus kernel), a pool its window decode and a fused
+    /// group its port decode and then each weighted member's kernel decode;
+    /// each then adds its store's encode. Pinned loads price nothing.
+    fn priced_pj_in_walk_order(
+        costs: &CodecCostTable,
+        layers: &[Layer],
+        morph: &MorphConfig,
+        store_output: bool,
+    ) -> f64 {
+        let codecs = morph.compression;
+        let last = layers.last().unwrap();
+        let mut regions = Vec::new();
+        let mut pj = 0.0;
+        for tile in tiles(last, morph.tiling, morph.loop_order) {
+            let out = tile.out;
+            if layers.len() > 1 {
+                let input = back_regions(layers, out, &mut regions);
+                pj += costs.energy_pj(codecs.ifmap, input.volume());
+                for (layer, region) in layers.iter().zip(&regions) {
+                    if let Some(ks) = layer.kernel_shape() {
+                        let raw = ks.volume() * region.cn / layer.output().c;
+                        pj += costs.energy_pj(codecs.kernel, raw);
+                    }
+                }
+            } else {
+                let depth = reduction_depth(last);
+                let window = match last.kind {
+                    LayerKind::Pool { .. } => input_window(last, &out, out.c0, out.cn),
+                    _ => input_window(last, &out, 0, depth),
+                };
+                let ifmap = costs.energy_pj(codecs.ifmap, window.volume());
+                pj += match (last.kind, last.kernel_shape()) {
+                    (LayerKind::Pool { .. }, _) => ifmap,
+                    (_, Some(ks)) => {
+                        let taps = ks.k * ks.k;
+                        ifmap + costs.energy_pj(codecs.kernel, out.cn * depth * taps)
+                    }
+                    (_, None) => unreachable!("{} has no kernel", last.name),
+                };
+            }
+            if store_output {
+                pj += costs.energy_pj(codecs.ofmap, out.volume());
+            }
+        }
+        pj
+    }
+
+    /// Walks a singleton layer or a fused group.
+    fn walk<S: StreamSource>(
+        ctx: &ExecContext<'_>,
+        members: &[Layer],
+        morph: &MorphConfig,
+        store_output: bool,
+        src: &mut S,
+    ) -> Result<WalkTotals, CapacityError> {
+        match members {
+            [layer] => walk_layer(ctx, layer, morph, store_output, src),
+            _ => walk_group(ctx, members, morph, store_output, src),
+        }
+    }
+
+    /// Walks every MOCHA candidate of every group of `net` (each singleton
+    /// and every legal fused depth) on both presets, with [`Estimated`],
+    /// which walks slab runs and tile classes, and with [`TileByTile`]. An
+    /// `Ok` walk must equal its oracle in cycles, events, `priced_pj` bits,
+    /// scratchpad peak, tiles and phases, and its `priced_pj` must equal
+    /// [`priced_pj_in_walk_order`] bit for bit; an `Err` must carry the
+    /// oracle's payload. One candidate in three leaves its output on-chip.
+    /// Returns the number of walks compared.
+    fn assert_tile_classes_exact(net: &Network) -> usize {
+        let costs = CodecCostTable::default();
+        let policy = Policy::Mocha {
+            objective: Objective::Edp,
         };
-        let est = SparsityEstimate {
-            ifmap_sparsity: 0.6,
-            ifmap_mean_run: 3.0,
-            kernel_sparsity: 0.3,
-            ofmap_sparsity: 0.5,
-            ofmap_mean_run: 2.0,
-        };
-        let (lenet, alexnet) = (network::lenet5(), network::alexnet());
-        let layer = |net: &'static str, name: &str| {
-            let n = if net == "lenet5" { &lenet } else { &alexnet };
-            n.layers().iter().find(|l| l.name == name).unwrap().clone()
-        };
-        let cases = [
-            (layer("lenet5", "fc4"), 120, (16, 1, 1)),
-            (layer("alexnet", "conv2"), 96, (16, 5, 5)),
-            (layer("alexnet", "conv3"), 256, (16, 5, 5)),
-            (layer("alexnet", "fc6"), 9216, (8, 1, 1)),
-        ];
-        let mut runs = 0;
-        for (layer, depth, (tile_oc, tile_oh, tile_ow)) in &cases {
-            assert_eq!(reduction_depth(layer), *depth, "{}", layer.name);
-            for loop_order in [LoopOrder::WeightStationary, LoopOrder::InputStationary] {
-                for compression in [CompressionChoice::OFF, CompressionChoice::ON] {
-                    let morph = MorphConfig {
-                        tiling: Tiling {
-                            tile_oc: *tile_oc,
-                            tile_oh: *tile_oh,
-                            tile_ow: *tile_ow,
-                            tile_ic: 64,
-                        },
-                        loop_order,
-                        compression,
-                        ..default_morph(layer)
-                    };
-                    let what = format!("{} {morph}", layer.name);
-                    let runs_once = walk_layer(&ctx, layer, &morph, true, &mut Estimated(&est))
-                        .unwrap_or_else(|e| panic!("{what}: {e}"));
-                    let one_by_one =
-                        walk_layer(&ctx, layer, &morph, true, &mut SlabBySlab(Estimated(&est)))
-                            .unwrap_or_else(|e| panic!("{what}: {e}"));
-                    assert_eq!(runs_once.cycles, one_by_one.cycles, "{what} cycles");
-                    assert_eq!(runs_once.events, one_by_one.events, "{what} events");
-                    assert_eq!(
-                        runs_once.events.priced_pj.to_bits(),
-                        one_by_one.events.priced_pj.to_bits(),
-                        "{what} priced_pj"
-                    );
-                    assert_eq!(runs_once.spm_peak, one_by_one.spm_peak, "{what} spm");
-                    assert_eq!(runs_once.tiles, one_by_one.tiles, "{what} tiles");
-                    assert_eq!(runs_once.phases, one_by_one.phases, "{what} phases");
-                    runs += 1;
+        let layers = net.layers();
+        let mut walks = 0;
+        for fabric in [FabricConfig::mocha(), FabricConfig::mocha_quad()] {
+            let ctx = ExecContext {
+                fabric: &fabric,
+                codec_costs: &costs,
+            };
+            for head in 0..layers.len() {
+                let group = &layers[head..];
+                let fusible =
+                    group[0].has_weights() && !matches!(group[0].kind, LayerKind::Fc { .. });
+                let mut len = 1;
+                while len <= group.len().min(MAX_GROUP_DEPTH)
+                    && (len == 1
+                        || fusible && can_extend(len - 1, &group[len - 2], &group[len - 1]))
+                {
+                    let members = &group[..len];
+                    let last = &members[len - 1];
+                    for morph in candidate_configs(policy, last, len > 1, fabric.has_codecs()) {
+                        let store_output = walks % 3 != 0;
+                        let what = format!(
+                            "{} {}+{len} {morph} store={store_output}",
+                            net.name, last.name
+                        );
+                        let classes =
+                            walk(&ctx, members, &morph, store_output, &mut Estimated(&EST));
+                        let oracle = walk(
+                            &ctx,
+                            members,
+                            &morph,
+                            store_output,
+                            &mut TileByTile(Estimated(&EST)),
+                        );
+                        match (classes, oracle) {
+                            (Ok(classes), Ok(oracle)) => {
+                                assert_eq!(classes.cycles, oracle.cycles, "{what} cycles");
+                                assert_eq!(classes.events, oracle.events, "{what} events");
+                                let pj = classes.events.priced_pj.to_bits();
+                                assert_eq!(
+                                    pj,
+                                    oracle.events.priced_pj.to_bits(),
+                                    "{what} priced_pj"
+                                );
+                                let replay =
+                                    priced_pj_in_walk_order(&costs, members, &morph, store_output);
+                                assert_eq!(pj, replay.to_bits(), "{what} priced_pj replay order");
+                                assert_eq!(classes.spm_peak, oracle.spm_peak, "{what} spm");
+                                assert_eq!(classes.tiles, oracle.tiles, "{what} tiles");
+                                assert_eq!(classes.phases, oracle.phases, "{what} phases");
+                            }
+                            (Err(classes), Err(oracle)) => {
+                                assert_eq!(classes, oracle, "{what} error")
+                            }
+                            (classes, oracle) => panic!(
+                                "{what}: tile classes {:?}, oracle {:?}",
+                                classes.map(|w| w.cycles),
+                                oracle.map(|w| w.cycles)
+                            ),
+                        }
+                        walks += 1;
+                    }
+                    len += 1;
                 }
             }
         }
-        assert_eq!(runs, 16);
+        walks
+    }
+
+    /// Slab runs and tile classes walk to the same totals, bit for bit, as
+    /// pricing every slab and every tile, on every candidate of the small
+    /// zoo networks.
+    #[test]
+    fn tile_classes_walk_bit_identical_to_tile_by_tile() {
+        let walks: usize = [network::tiny(), network::lenet5(), network::mobilenet()]
+            .iter()
+            .map(assert_tile_classes_exact)
+            .sum();
+        assert!(walks > 60_000, "{walks} walks");
+    }
+
+    /// [`tile_classes_walk_bit_identical_to_tile_by_tile`] on the benchmark
+    /// networks. Too slow for a debug build; run with
+    /// `cargo test --release -p mocha-core --lib tile_classes -- --ignored`.
+    #[test]
+    #[ignore]
+    fn tile_classes_walk_bit_identical_on_benchmark_networks() {
+        for (net, floor) in [(network::alexnet(), 50_000), (network::vgg16(), 130_000)] {
+            let walks = assert_tile_classes_exact(&net);
+            assert!(walks > floor, "{}: {walks} walks", net.name);
+        }
     }
 
     #[test]

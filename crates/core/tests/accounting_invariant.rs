@@ -1,5 +1,7 @@
 //! Cross-layer invariant: the tile walks agree with `model::accounting`'s
-//! closed form on every singleton candidate the MOCHA controller scores.
+//! closed form on every singleton candidate the controller scores, under
+//! every policy (MOCHA, its no-compression ablation and the three prior-art
+//! designs).
 //!
 //! * Planned MACs, issued plus bitmask-skipped, equal the layer's MACs.
 //! * Without compression, no plan or execution reads fewer DRAM bytes than
@@ -12,7 +14,9 @@
 //! also executed. AlexNet is planned only: its golden forward pass and
 //! layer executions take minutes in a debug build, and an uncompressed
 //! execution's traffic equals its plan's (pinned by
-//! `plan_equals_exec_exactly_when_uncompressed`).
+//! `plan_equals_exec_exactly_when_uncompressed`). VGG-16 is planned by a
+//! release-only test (`cargo test --release -p mocha-core --test
+//! accounting_invariant -- --ignored`).
 
 use mocha_compress::CodecCostTable;
 use mocha_core::controller::{candidate_configs, Policy};
@@ -22,7 +26,7 @@ use mocha_core::Objective;
 use mocha_energy::EnergyTable;
 use mocha_fabric::FabricConfig;
 use mocha_model::gen::{SparsityProfile, Workload};
-use mocha_model::{accounting, golden, network};
+use mocha_model::{accounting, golden, network, Network};
 
 const EST: SparsityEstimate = SparsityEstimate {
     ifmap_sparsity: 0.6,
@@ -35,21 +39,23 @@ const EST: SparsityEstimate = SparsityEstimate {
 /// Every `EXEC_STRIDE`-th uncompressed candidate is also executed.
 const EXEC_STRIDE: usize = 97;
 
-#[test]
-fn singleton_walks_respect_the_accounting_floor() {
+/// Checks every singleton candidate of every policy on `nets` (`true` also
+/// executes a stride of the uncompressed ones), on both presets, and
+/// returns the plans and executions checked.
+fn check_singletons(nets: Vec<(Network, bool)>) -> (usize, usize) {
     let costs = CodecCostTable::default();
     let energy = EnergyTable::default();
-    let policy = Policy::Mocha {
-        objective: Objective::Edp,
-    };
+    let objective = Objective::Edp;
+    let policies = [
+        Policy::Mocha { objective },
+        Policy::MochaNoCompression { objective },
+        Policy::TilingOnly,
+        Policy::FusionOnly,
+        Policy::ParallelismOnly,
+    ];
     let mut violations = Vec::new();
     let (mut plans, mut execs, mut uncompressed) = (0usize, 0usize, 0usize);
-    for (net, execute) in [
-        (network::tiny(), true),
-        (network::lenet5(), true),
-        (network::mobilenet(), true),
-        (network::alexnet(), false),
-    ] {
+    for (net, execute) in nets {
         let w = Workload::generate(net, SparsityProfile::NOMINAL, 3);
         let golden_outs = if execute {
             golden::forward(&w)
@@ -68,7 +74,10 @@ fn singleton_walks_respect_the_accounting_floor() {
             };
             for (i, layer) in w.network.layers().iter().enumerate() {
                 let floor = accounting::layer(layer);
-                for morph in candidate_configs(policy, layer, false, fabric.has_codecs()) {
+                let candidates = policies
+                    .iter()
+                    .flat_map(|&p| candidate_configs(p, layer, false, fabric.has_codecs()));
+                for morph in candidates {
                     let Ok(plan) = plan_layer(&pctx, layer, &morph, &EST, true) else {
                         continue;
                     };
@@ -118,11 +127,30 @@ fn singleton_walks_respect_the_accounting_floor() {
             }
         }
     }
-    assert!(plans > 10_000 && execs > 50, "{plans} plans, {execs} execs");
     assert!(
         violations.is_empty(),
         "{} of {plans} plans and {execs} executions break the invariant, e.g.\n{}",
         violations.len(),
         violations[..violations.len().min(10)].join("\n")
     );
+    (plans, execs)
+}
+
+#[test]
+fn singleton_walks_respect_the_accounting_floor() {
+    let (plans, execs) = check_singletons(vec![
+        (network::tiny(), true),
+        (network::lenet5(), true),
+        (network::mobilenet(), true),
+        (network::alexnet(), false),
+    ]);
+    assert!(plans > 10_000 && execs > 50, "{plans} plans, {execs} execs");
+}
+
+/// VGG-16, planned only; too slow for a debug build.
+#[test]
+#[ignore]
+fn vgg16_singleton_walks_respect_the_accounting_floor() {
+    let (plans, _) = check_singletons(vec![(network::vgg16(), false)]);
+    assert!(plans > 10_000, "{plans} plans");
 }

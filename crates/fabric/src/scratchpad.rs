@@ -95,6 +95,26 @@ impl Scratchpad {
         Ok(id)
     }
 
+    /// Allocates each of `requests` in order, as [`Scratchpad::alloc`]
+    /// would, then frees every one that succeeded: one step's transient
+    /// working set. The high-water mark and any error equal those of that
+    /// alloc/free sequence, and no region handle is made.
+    pub fn hold(&mut self, requests: &[(RegionClass, usize)]) -> Result<(), CapacityError> {
+        let mut used = self.used;
+        let held = requests.iter().try_for_each(|&(_, bytes)| {
+            if used + bytes > self.capacity {
+                return Err(CapacityError {
+                    requested: bytes,
+                    free: self.capacity - used,
+                });
+            }
+            used += bytes;
+            Ok(())
+        });
+        self.peak = self.peak.max(used);
+        held
+    }
+
     /// Frees a region.
     ///
     /// # Panics
@@ -193,6 +213,32 @@ mod tests {
         let a = s.alloc(RegionClass::IfmapTile, 5).unwrap();
         s.free(a);
         s.free(a);
+    }
+
+    #[test]
+    fn hold_equals_allocating_then_freeing_every_request() {
+        let requests = [
+            (RegionClass::IfmapTile, 30),
+            (RegionClass::OfmapTile, 0),
+            (RegionClass::OfmapTile, 25),
+            (RegionClass::FusionBuffer, 20),
+        ];
+        for cap in [0, 29, 30, 55, 74, 75, 76, 120] {
+            for n in 0..=requests.len() {
+                let mut held = Scratchpad::with_capacity(cap + 10);
+                held.alloc(RegionClass::KernelBlock, 10).unwrap();
+                let mut freed = held.clone();
+                let got = held.hold(&requests[..n]);
+                let mut ids = Vec::new();
+                let want = requests[..n].iter().try_for_each(|&(class, bytes)| {
+                    ids.push(freed.alloc(class, bytes)?);
+                    Ok(())
+                });
+                ids.into_iter().for_each(|id| freed.free(id));
+                assert_eq!(got, want, "cap {cap}, {n} requests");
+                assert_eq!((held.used(), held.peak()), (freed.used(), freed.peak()));
+            }
+        }
     }
 
     #[test]
