@@ -28,8 +28,8 @@ echo "== cargo test"
 cargo test --workspace -q
 
 echo "== golden oracle on the benchmark networks' real shapes (release, ignored in debug)"
-# Every conv, depthwise and pointwise layer of AlexNet and MobileNet against
-# the per-tap scalar oracles; too slow for the debug test run above.
+# Every conv, depthwise, pointwise and fc layer of AlexNet and MobileNet
+# against the scalar oracles; too slow for the debug test run above.
 cargo test --release -q -p mocha-model -- --ignored
 
 echo "== tile kernel on the benchmark networks' real shapes (release, ignored in debug)"
@@ -287,6 +287,20 @@ sim_alexnet() {
 }
 sim_alexnet target/release/mocha-sim | cmp - baselines/sim-alexnet.txt || {
     echo "simulate output differs from baselines/sim-alexnet.txt"; exit 1
+}
+
+echo "== simulate pin for the largest kernel blocks (vs committed baselines/sim-vgg16.txt)"
+# VGG-16 (fc6 alone holds 102 M weights) under both MOCHA policies with
+# bitmask-coded kernels must stay byte-identical to the baseline.
+# Regenerate with (from the repo root, after the release build):
+#   sim_vgg16 target/release/mocha-sim > baselines/sim-vgg16.txt
+sim_vgg16() {
+    for acc in mocha mocha-nc; do
+        "$1" simulate vgg16 --accelerator "$acc" --profile sparse --json --threads 1
+    done
+}
+sim_vgg16 target/release/mocha-sim | cmp - baselines/sim-vgg16.txt || {
+    echo "simulate output differs from baselines/sim-vgg16.txt"; exit 1
 }
 
 echo "== one open-loop front end (serve --open-loop --fleet == fleet --open-loop)"

@@ -22,6 +22,7 @@ use mocha_fabric::{Buffering, CapacityError, FabricConfig, Scratchpad, TilePhase
 use mocha_model::layer::{Layer, LayerKind};
 use mocha_model::tensor::{Kernel, Tensor};
 use mocha_model::TensorShape;
+use std::cell::OnceCell;
 
 /// Shared simulation context: the fabric instance and codec cost table.
 #[derive(Debug, Clone, Copy)]
@@ -115,9 +116,14 @@ pub(crate) struct Measured<'a> {
     output: Tensor<i8>,
     compression: CompressionStats,
     /// One scratch buffer for every raw stream the walk materializes —
-    /// windows and kernel blocks are priced and discarded, so the
-    /// allocation is reused across all tiles and slabs.
+    /// windows and kernel blocks (one contiguous copy per filter) are
+    /// priced and discarded, so the allocation is reused across all tiles
+    /// and slabs.
     scratch: Vec<i8>,
+    /// Per member, the zero count of each filter of its kernel, taken in
+    /// one pass over the kernel on the member's first
+    /// [`StreamSource::skip_fraction`].
+    filter_zeros: Vec<OnceCell<Vec<usize>>>,
 }
 
 impl<'a> Measured<'a> {
@@ -134,6 +140,7 @@ impl<'a> Measured<'a> {
             output: Tensor::zeros(out),
             compression: CompressionStats::default(),
             scratch: Vec::new(),
+            filter_zeros: vec![OnceCell::new(); kernels.len()],
         }
     }
 
@@ -221,24 +228,21 @@ impl StreamSource for Measured<'_> {
         self.price_scratch(codec, true)
     }
 
-    /// The zero fraction of the kernel block, counted in place over the
-    /// filter slices — no block materialization.
+    /// The zero fraction of filters `[c0, c0+cn)`: the sum of their entries
+    /// in the member's per-filter zero-count table over their volume. No
+    /// tile rescans or copies its kernel block.
     fn skip_fraction(&self, member: usize, (c0, cn): (usize, usize)) -> f64 {
         let kernel = self.kernel(member);
-        let shape = kernel.shape();
-        let kk = shape.k * shape.k;
-        let total = cn * shape.in_c * kk;
+        let total = cn * kernel.shape().filter_volume();
         if total == 0 {
             return 0.0;
         }
-        let mut zeros = 0usize;
-        for oc in c0..c0 + cn {
-            let base = shape.index(oc, 0, 0, 0);
-            zeros += kernel.data()[base..base + shape.in_c * kk]
-                .iter()
-                .filter(|&&v| v == 0)
-                .count();
-        }
+        let counts = self.filter_zeros[member].get_or_init(|| {
+            (0..kernel.shape().out_c)
+                .map(|oc| kernel.filter(oc).iter().filter(|&&v| v == 0).count())
+                .collect()
+        });
+        let zeros: usize = counts[c0..c0 + cn].iter().sum();
         zeros as f64 / total as f64
     }
 
@@ -315,7 +319,7 @@ mod tests {
     use super::*;
     use crate::morph::{CompressionChoice, Parallelism, Tiling};
     use mocha_model::gen::{self, SparsityProfile, Workload};
-    use mocha_model::{golden, network};
+    use mocha_model::{golden, network, KernelShape};
 
     fn ctx_objects() -> (FabricConfig, CodecCostTable) {
         (FabricConfig::mocha(), CodecCostTable::default())
@@ -518,6 +522,60 @@ mod tests {
             w.input.clone()
         } else {
             golden::forward(w)[i - 1].clone()
+        }
+    }
+
+    #[test]
+    fn skip_fraction_table_matches_kernel_rescan() {
+        // The zero fraction of filters [c0, c0+cn), rescanned from the
+        // kernel bytes.
+        fn rescan(kernel: &Kernel, (c0, cn): (usize, usize)) -> f64 {
+            let fv = kernel.shape().filter_volume();
+            if cn * fv == 0 {
+                return 0.0;
+            }
+            let block = &kernel.data()[c0 * fv..(c0 + cn) * fv];
+            block.iter().filter(|&&v| v == 0).count() as f64 / block.len() as f64
+        }
+        let mut rng = gen::rng(0x5e10);
+        let conv = network::single_conv(6, 8, 8, 12, 3, 1, 1);
+        let shapes = [
+            conv.layers()[0].kernel_shape().unwrap(),
+            KernelShape::new(16, 1, 3),   // depthwise
+            KernelShape::new(10, 300, 1), // fc
+        ];
+        let mut kernels: Vec<Kernel> = shapes
+            .iter()
+            .map(|&s| gen::kernel(s, 0.4, &mut rng))
+            .collect();
+        for k in &mut kernels {
+            // Filter 0 all zero, filter 1 all nonzero.
+            let fv = k.shape().filter_volume();
+            k.data_mut()[..fv].fill(0);
+            for v in &mut k.data_mut()[fv..2 * fv] {
+                *v = if *v == 0 { 1 } else { *v };
+            }
+        }
+        let refs: Vec<Option<&Kernel>> = kernels.iter().map(Some).collect();
+        let input = Tensor::zeros(TensorShape::new(1, 1, 1));
+        let src = Measured::new(&input, &refs, TensorShape::new(1, 1, 1));
+        for (member, kernel) in kernels.iter().enumerate() {
+            let out_c = kernel.shape().out_c;
+            let mut ranges = vec![(0, 0), (0, 1), (1, 1), (0, out_c), (out_c, 0)];
+            for _ in 0..50 {
+                let c0 = rng.gen_range(0..out_c);
+                ranges.push((c0, rng.gen_range(0..=out_c - c0)));
+            }
+            for oc in ranges {
+                assert_eq!(
+                    src.skip_fraction(member, oc).to_bits(),
+                    rescan(kernel, oc).to_bits(),
+                    "{:?} filters {oc:?}",
+                    kernel.shape()
+                );
+            }
+            assert_eq!(src.skip_fraction(member, (0, 1)), 1.0);
+            assert_eq!(src.skip_fraction(member, (1, 1)), 0.0);
         }
     }
 

@@ -155,16 +155,11 @@ impl Kernel {
 
     /// The weight slice of filters `[oc0, oc0+n)` restricted to input
     /// channels `[ic0, ic0+cn)` — the bytes a tile DMA actually ships when
-    /// both output- and input-channel tiling are active.
-    pub fn filter_block(&self, oc0: usize, n: usize, ic0: usize, cn: usize) -> Vec<i8> {
-        let mut out = Vec::new();
-        self.filter_block_into(oc0, n, ic0, cn, &mut out);
-        out
-    }
-
-    /// [`Self::filter_block`] into a caller-owned buffer, clearing it first —
-    /// lets the simulator's tile loop reuse one scratch allocation instead
-    /// of allocating per DMA transfer.
+    /// both output- and input-channel tiling are active — copied into a
+    /// caller-owned buffer, cleared first, so the simulator's tile loop
+    /// reuses one allocation across its DMA transfers. In `(oc, ic, ky, kx)`
+    /// order a filter's input-channel range is one contiguous run of
+    /// `cn × k²` bytes, so the block is `n` copies, one per filter.
     pub fn filter_block_into(
         &self,
         oc0: usize,
@@ -178,10 +173,7 @@ impl Kernel {
         out.clear();
         out.reserve(n * cn * kk);
         for oc in oc0..oc0 + n {
-            for ic in ic0..ic0 + cn {
-                let base = self.shape.index(oc, ic, 0, 0);
-                out.extend_from_slice(&self.data[base..base + kk]);
-            }
+            out.extend_from_slice(&self.filter(oc)[ic0 * kk..(ic0 + cn) * kk]);
         }
     }
 
@@ -257,15 +249,64 @@ mod tests {
         assert_eq!(t.sparsity(), 0.5);
     }
 
+    /// The block copy as one `k²` run per `(oc, ic)` pair: the oracle for
+    /// [`Kernel::filter_block_into`].
+    fn filter_block_reference(k: &Kernel, oc0: usize, n: usize, ic0: usize, cn: usize) -> Vec<i8> {
+        let kk = k.shape().k * k.shape().k;
+        let mut out = Vec::new();
+        for oc in oc0..oc0 + n {
+            for ic in ic0..ic0 + cn {
+                let base = k.shape().index(oc, ic, 0, 0);
+                out.extend_from_slice(&k.data()[base..base + kk]);
+            }
+        }
+        out
+    }
+
     #[test]
     fn kernel_filter_block_orders_oc_then_ic() {
         let shape = KernelShape::new(2, 2, 1);
         // Layout (oc, ic): (0,0)=1 (0,1)=2 (1,0)=3 (1,1)=4.
         let k = Kernel::from_vec(shape, vec![1, 2, 3, 4]);
-        assert_eq!(k.filter_block(0, 2, 0, 2), vec![1, 2, 3, 4]);
-        assert_eq!(k.filter_block(1, 1, 0, 1), vec![3]);
-        assert_eq!(k.filter_block(0, 2, 1, 1), vec![2, 4]);
+        let mut buf = Vec::new();
+        for ((oc0, n, ic0, cn), want) in [
+            ((0, 2, 0, 2), &[1, 2, 3, 4][..]),
+            ((1, 1, 0, 1), &[3]),
+            ((0, 2, 1, 1), &[2, 4]),
+        ] {
+            k.filter_block_into(oc0, n, ic0, cn, &mut buf);
+            assert_eq!(buf, want);
+        }
         assert_eq!(k.filter(1), &[3, 4]);
+    }
+
+    #[test]
+    fn filter_block_matches_per_filter_channel_copy() {
+        let mut rng = crate::gen::rng(0xb10c);
+        // One buffer across every call: each must clear what the last left.
+        let mut buf = vec![7i8; 3];
+        for k in [1usize, 3, 5, 11] {
+            let (out_c, in_c) = (rng.gen_range(1..=6usize), rng.gen_range(2..=6usize));
+            let kernel = crate::gen::kernel(KernelShape::new(out_c, in_c, k), 0.3, &mut rng);
+            let mut ranges = vec![(0, out_c, 0, in_c), (out_c - 1, 1, in_c - 1, 1)];
+            for _ in 0..20 {
+                let oc0 = rng.gen_range(0..out_c);
+                let ic0 = rng.gen_range(0..in_c);
+                let n = rng.gen_range(0..=out_c - oc0);
+                let cn = rng.gen_range(0..=in_c - ic0);
+                ranges.push((oc0, n, ic0, cn));
+            }
+            for (oc0, n, ic0, cn) in ranges {
+                kernel.filter_block_into(oc0, n, ic0, cn, &mut buf);
+                assert_eq!(
+                    buf,
+                    filter_block_reference(&kernel, oc0, n, ic0, cn),
+                    "k{k} {out_c}x{in_c} oc {oc0}+{n} ic {ic0}+{cn}"
+                );
+            }
+            kernel.filter_block_into(0, out_c, 0, in_c, &mut buf);
+            assert_eq!(buf, kernel.data(), "k{k}: the full block is the kernel");
+        }
     }
 
     #[test]
